@@ -1,0 +1,1 @@
+"""The placement-decision benchmark (run it with ``python3 perfbench/run.py``)."""
