@@ -1,15 +1,19 @@
-"""Prediction-throughput benchmark: scalar loop vs the batched kernel.
+"""Prediction-throughput benchmark: one kernel call per placement vs
+one call per population.
 
 Section 6.1: "Making predictions using Pandia takes a fraction of a
 second per placement" — while the measurements behind one workload's
 figure took machine-days.  Two parts:
 
-* pytest-benchmark microbenchmarks (per-placement latency, scalar
+* pytest-benchmark microbenchmarks (per-placement latency, per-call
   throughput) — run via ``pytest benchmarks/bench_predictor.py``;
-* a CLI comparing the PR 2 per-placement miss path (a scalar
-  ``predict`` loop) against ``predict_batch`` over ranking-sized
-  placement populations, asserting batch-vs-scalar equivalence in-run
-  (max |Δ predicted time| < 1e-9) and reporting placements/sec.
+* a CLI comparing a per-placement miss path against ``predict_batch``
+  over ranking-sized placement populations.  The "scalar" column is a
+  ``predict`` loop: one one-row call of the fixed-point kernel per
+  placement.  The "batch" column stacks the population into one call.
+  Equivalence is asserted in-run (max |Δ predicted time| < 1e-9; the
+  kernel's row-independence contract makes the two bit-identical), and
+  placements/sec are reported.
 
 The headline case ranks an exhaustive canonical sample of the X2-4
 (4 sockets, 80 hardware threads); the population sweep covers all four

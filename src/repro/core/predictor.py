@@ -19,23 +19,24 @@ the time demands 50% less") and carry information between iterations
 (Section 5.4).  The worked example of Figures 7 and 9 is reproduced
 number-for-number by the test suite.
 
-Two evaluation paths share the model:
-
-* :meth:`PandiaPredictor.predict` — one placement at a time, kept as
-  the golden scalar reference;
-* :meth:`PandiaPredictor.predict_batch` — the same fixed point run as
-  masked NumPy operations over a whole placement population at once,
-  with converged placements dropping out of further iterations.  The
-  batch path must match the scalar path within 1e-12 on every field
-  (``tests/core/test_predictor_batch.py``,
-  ``tests/search/test_golden_equivalence.py``).
+One kernel evaluates the model: :meth:`PandiaPredictor._solve` runs
+the fixed point as masked NumPy operations over a population of rows,
+each row a co-schedule of one or more (workload, placement) jobs on the
+machine, with converged rows dropping out of further iterations.
+:meth:`PandiaPredictor.predict` and :meth:`PandiaPredictor.predict_batch`
+are one-job rows; :class:`repro.core.coscheduling.CoSchedulePredictor`
+submits joint rows.  The golden oracle, the same fixed point as plain
+Python loops, lives in ``tests/reference_kernel.py``; the kernel must
+match it within 1e-12 (``tests/core/test_predictor_batch.py``,
+``tests/search/test_golden_equivalence.py``,
+``tests/properties/test_joint_kernel.py``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, islice
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -45,7 +46,7 @@ from repro.core.amdahl import amdahl_speedup
 from repro.core.description import DemandVector, WorkloadDescription
 from repro.core.machine_desc import MachineDescription
 from repro.core.placement import Placement
-from repro.errors import PredictionError
+from repro.errors import PlacementError, PredictionError
 from repro.numa import dram_shares
 from repro.obs.records import ConvergenceRecord
 from repro.units import near_zero
@@ -262,7 +263,7 @@ def _aitken_jump(
     return f_jump, o_jump
 
 
-#: Per-thread vector columns recorded for each scalar iteration, in
+#: Per-thread vector columns recorded for each traced iteration, in
 #: Figure 7 order.  These remain readable as attributes on
 #: :class:`IterationTrace` for backwards compatibility.
 _TRACE_VECTORS = (
@@ -399,6 +400,12 @@ class Prediction:
         return 1.0 / self.speedup
 
 
+#: One job of a kernel row: a workload pinned to a placement.  A row is
+#: a co-schedule of one or more jobs on the predictor's machine; a solo
+#: prediction is the one-job row.
+Job = Tuple[WorkloadDescription, Placement]
+
+
 def _demand_key(demands: DemandVector) -> Tuple[Hashable, ...]:
     """Hashable identity of every demand field the template reads."""
     return (
@@ -410,275 +417,452 @@ def _demand_key(demands: DemandVector) -> Tuple[Hashable, ...]:
     )
 
 
-class _DemandTemplate:
-    """Per-(machine, workload) resource recipe.
+class _MachineLayout:
+    """The machine's resource classes and its resource-key table.
 
-    Everything about the demand rows that does *not* depend on the
-    placement: which cache levels are actually demanded and measurable,
-    and the capacity of each resource class.  Building this once per
-    (machine, workload) — the predictor memoises it by demand-vector
-    fingerprint — lets repeated searches skip re-deriving the capacity
-    dictionaries for every placement.
+    Per-core classes are the instruction rate and one cache link per
+    measured level; per-socket classes are the cache aggregates with a
+    measured capacity, then the DRAM node.  Keys are numbered
+    core-major, then socket-major, then interconnect links, then the
+    NIC, so a row's resource dictionaries are one gather from this
+    table.
     """
 
-    __slots__ = (
-        "inst_rate",
-        "levels",
-        "has_dram",
-        "dram_bw",
-        "local_fraction",
-        "dram_cap",
-        "interconnect_cap",
-        "has_io",
-        "io_bw",
-        "nic_cap",
-        "core_rate",
-        "core_rate_smt",
-        "n_cores",
-        "n_sockets",
-        "core_map",
-        "socket_map",
-        "key_core",
-        "key_link",
-        "key_agg",
-        "key_dram",
-        "key_pair",
-        "agg_levels",
-        "core_bundles",
-        "sock_bundles",
-        "sock_caps",
-    )
-
-    def __init__(self, md: MachineDescription, demands: DemandVector) -> None:
-        self.inst_rate = demands.inst_rate
-        #: (level, demand bw, per-core link capacity, aggregate capacity
-        #: or None) for every level the workload demands and the machine
-        #: measures — the same filter the per-thread rows applied.
-        self.levels: Tuple[Tuple[str, float, float, Optional[float]], ...] = tuple(
-            (level, bw, md.cache_link_bw[level], md.cache_agg_bw.get(level) or None)
-            for level, bw in demands.cache_bw.items()
-            if bw > 0 and level in md.cache_link_bw
-        )
-        self.has_dram = demands.dram_bw > 0
-        self.dram_bw = demands.dram_bw
-        self.local_fraction = demands.numa_local_fraction
-        self.dram_cap = md.dram_bw_per_node
-        self.interconnect_cap = md.interconnect_bw
-        self.has_io = demands.io_bw > 0 and md.nic_bw > 0
-        self.io_bw = demands.io_bw
-        self.nic_cap = md.nic_bw
-        self.core_rate = md.core_rate
-        self.core_rate_smt = md.core_rate_smt
-
-        # Topology lookups and pre-allocated resource keys, so building
-        # one placement's demand rows never re-creates key tuples.
+    def __init__(self, md: MachineDescription) -> None:
         topo = md.topology
+        self.topology = topo
+        self.shape = topo.shape()
+        self.n_hw = topo.n_hw_threads
         self.n_cores = topo.n_cores
         self.n_sockets = topo.n_sockets
         self.core_map = np.array(
-            [topo.hw_thread(t).core_id for t in range(topo.n_hw_threads)],
-            dtype=np.intp,
+            [topo.hw_thread(t).core_id for t in range(self.n_hw)], dtype=np.intp
         )
         self.socket_map = np.array(
-            [topo.hw_thread(t).socket_id for t in range(topo.n_hw_threads)],
+            [topo.hw_thread(t).socket_id for t in range(self.n_hw)], dtype=np.intp
+        )
+        self.levels: Tuple[str, ...] = tuple(md.cache_link_bw)
+        self.link_caps = np.array([md.cache_link_bw[lv] for lv in self.levels])
+        self.agg_levels = np.array(
+            [i for i, lv in enumerate(self.levels) if md.cache_agg_bw.get(lv)],
             dtype=np.intp,
         )
-        self.key_core: Tuple[ResourceKey, ...] = tuple(
-            ("core", c) for c in range(self.n_cores)
+        self.agg_caps = np.array(
+            [md.cache_agg_bw[self.levels[i]] for i in self.agg_levels]
         )
-        self.key_link: Tuple[Tuple[ResourceKey, ...], ...] = tuple(
-            tuple(("cache_link", (level, c)) for c in range(self.n_cores))
-            for level, _bw, _link, _agg in self.levels
+        self.pairs: List[Tuple[int, int]] = list(topo.interconnect_links())
+        self.pair_u = np.array([u for u, _ in self.pairs], dtype=np.intp)
+        self.pair_v = np.array([v for _, v in self.pairs], dtype=np.intp)
+
+        keys: List[ResourceKey] = []
+        caps: List[float] = []
+        for c in range(self.n_cores):
+            keys.append(("core", c))
+            keys += [("cache_link", (lv, c)) for lv in self.levels]
+            caps += [md.core_rate, *self.link_caps]
+        for s in range(self.n_sockets):
+            keys += [("cache_agg", (self.levels[i], s)) for i in self.agg_levels]
+            keys.append(("dram", s))
+            caps += [*self.agg_caps, md.dram_bw_per_node]
+        keys += [("link", pair) for pair in self.pairs]
+        keys.append(("nic", 0))
+        caps += [md.interconnect_bw] * len(self.pairs) + [md.nic_bw]
+        self.keys = keys
+        #: Every resource's capacity; core entries are per row (SMT).
+        self.caps = np.array(caps)
+        #: DRAM nodes, then interconnect links: the memory resources a
+        #: thread reaches from its socket.
+        self.mem_caps = np.array(
+            [md.dram_bw_per_node] * self.n_sockets
+            + [md.interconnect_bw] * len(self.pairs)
         )
-        self.key_agg: Tuple[Tuple[ResourceKey, ...], ...] = tuple(
-            tuple(("cache_agg", (level, s)) for s in range(self.n_sockets))
-            for level, _bw, _link, _agg in self.levels
-        )
-        self.key_dram: Tuple[ResourceKey, ...] = tuple(
-            ("dram", s) for s in range(self.n_sockets)
-        )
-        self.key_pair: Dict[Tuple[int, int], ResourceKey] = {
-            pair: ("link", pair) for pair in topo.interconnect_links()
-        }
-        # Core-major / socket-major key bundles: all the keys one
-        # occupied core (or active socket) contributes, pre-concatenated
-        # so batch predictions assemble key lists with one chain() pass.
-        # Dict equality is order-insensitive, so the batch path may
-        # insert keys core-major while the scalar path goes class-major.
-        n_levels = len(self.levels)
-        self.core_bundles: Tuple[Tuple[ResourceKey, ...], ...] = tuple(
-            (self.key_core[c],)
-            + tuple(self.key_link[i][c] for i in range(n_levels))
-            for c in range(self.n_cores)
-        )
-        self.agg_levels: Tuple[int, ...] = tuple(
-            i for i, (_lv, _bw, _cap, agg) in enumerate(self.levels) if agg
-        )
-        self.sock_bundles: Tuple[Tuple[ResourceKey, ...], ...] = tuple(
-            tuple(self.key_agg[i][s] for i in self.agg_levels)
-            + ((self.key_dram[s],) if self.has_dram else ())
-            for s in range(self.n_sockets)
-        )
-        self.sock_caps: Tuple[float, ...] = tuple(
-            self.levels[i][3] for i in self.agg_levels
-        ) + ((self.dram_cap,) if self.has_dram else ())
+        self.core_keys = np.arange(self.n_cores) * (1 + len(self.levels))
+        self.socket_bits = 1 << np.arange(self.n_sockets)
+        sockets = np.arange(self.n_sockets)[:, None]
+        #: ``[s, p]``: socket s is link p's u (v) end.
+        self.at_u = sockets == self.pair_u
+        self.at_v = sockets == self.pair_v
 
 
-class _ThreadDemands:
-    """Per-thread demand rows against the measured resource capacities.
+class _DemandTemplate:
+    """One workload's demand on each resource class, cached per demands.
 
-    The dense demand matrix is assembled column-kind by column-kind with
-    vectorised scatters (cores first, then cache links/aggregates, DRAM
-    nodes, interconnect links, NIC) instead of one Python loop per
-    thread; each matrix cell receives the same single contribution as
-    the row-by-row build did, so the coefficients are bit-identical.
+    ``params`` holds the kernel's per-job demand columns: instruction
+    rate, DRAM, NIC, the two folds, then one bandwidth per measured cache
+    level (zero where the workload demands none).  The folds are the
+    largest per-link and per-aggregate demand-to-capacity ratios: for a
+    job alone on the machine, the worst of the classes that scale one
+    utilisation sum is that sum times the largest ratio.
     """
 
+    __slots__ = ("params", "dram_bw", "local_fraction")
+
     def __init__(
-        self,
-        md: MachineDescription,
-        wd: WorkloadDescription,
-        placement: Placement,
-        template: Optional[_DemandTemplate] = None,
+        self, md: MachineDescription, m: _MachineLayout, demands: DemandVector
     ) -> None:
-        t = template if template is not None else _DemandTemplate(md, wd.demands)
-        ids = np.asarray(placement.hw_thread_ids, dtype=np.intp)
-        core_ids = t.core_map[ids]
-        socket_ids = t.socket_map[ids]
-        n = ids.shape[0]
+        level_bw = np.array(
+            [max(demands.cache_bw.get(lv, 0.0), 0.0) for lv in m.levels]
+        )
+        self.dram_bw = max(demands.dram_bw, 0.0)
+        self.local_fraction = demands.numa_local_fraction
+        io_bw = demands.io_bw if demands.io_bw > 0 and md.nic_bw > 0 else 0.0
+        self.params = (
+            demands.inst_rate,
+            self.dram_bw,
+            io_bw,
+            float((level_bw / m.link_caps).max(initial=0.0)),
+            float((level_bw[m.agg_levels] / m.agg_caps).max(initial=0.0)),
+            *level_bw.tolist(),
+        )
 
-        core_counts = np.bincount(core_ids, minlength=t.n_cores)
-        occupied = np.flatnonzero(core_counts)
-        n_occ = occupied.size
-        sock_counts = np.bincount(socket_ids, minlength=t.n_sockets)
-        active_arr = np.flatnonzero(sock_counts)
-        active = tuple(int(s) for s in active_arr)
-        n_act = active_arr.size
 
-        core_lut = np.zeros(t.n_cores, dtype=np.intp)
-        core_lut[occupied] = np.arange(n_occ)
-        cs = core_lut[core_ids]  # per-thread occupied-core slot
-        sock_lut = np.zeros(t.n_sockets, dtype=np.intp)
-        sock_lut[active_arr] = np.arange(n_act)
-        ss = sock_lut[socket_ids]  # per-thread active-socket slot
+#: ``np.maximum.reduce`` called directly: on the kernel's small arrays
+#: the ``ndarray.max`` wrapper costs more than the reduction itself.
+_max_along = np.maximum.reduce
 
-        # Column layout: core columns first (so a thread's core column
-        # index is also its occupied-core slot — the batch kernel relies
-        # on this), then per level its link and aggregate columns, then
-        # DRAM nodes, interconnect links and the NIC.
-        occ_list = occupied.tolist()
-        keys: List[ResourceKey] = [t.key_core[c] for c in occ_list]
-        cap_blocks: List[np.ndarray] = [
-            np.where(core_counts[occupied] > 1, t.core_rate_smt, t.core_rate)
+
+def _job_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum over axis 1 (the job axis), adding one job at a time.
+
+    Padded jobs contribute exact zeros at the end, so a row's total does
+    not depend on how many job columns its batch carries (``ndarray.sum``
+    may regroup the adds by width)."""
+    total = terms[:, 0]
+    for j in range(1, terms.shape[1]):
+        total = total + terms[:, j]
+    return total
+
+
+def _memory_loads(
+    fs_sock: np.ndarray, mem_share: np.ndarray, mem_scale: np.ndarray
+) -> np.ndarray:
+    """Load on every DRAM node and interconnect link, ``(rows, S + P)``,
+    from per-(row, job, socket) utilisation sums."""
+    return _job_sum(
+        mem_scale * np.add.reduce(fs_sock[:, :, :, None] * mem_share, axis=2)
+    )
+
+
+class _Rows:
+    """Row-indexed kernel arrays, compacted together as rows converge."""
+
+    def __init__(self, **arrays: np.ndarray) -> None:
+        self.__dict__.update(arrays)
+
+    def take(self, keep: np.ndarray) -> "_Rows":
+        return _Rows(**{name: a[keep] for name, a in self.__dict__.items()})
+
+
+class _Population:
+    """The static layout of one kernel call: a population of rows.
+
+    Per-job parameters are ``(pop, J)`` arrays, jobs padded to the row
+    with the most jobs; padded jobs have no threads, so they are inert.
+    Threads are ``(pop, T)`` arrays, each row's jobs side by side and
+    padded to the widest row.  Every per-(row, job) utilisation sum is
+    one ``bincount`` over the flat segment ids ``seg_job`` (per job),
+    ``seg_core`` (per job and core) and ``seg_sock`` (per job and
+    socket).
+    """
+
+    def __init__(self, predictor: "PandiaPredictor", rows: Sequence[Sequence[Job]]):
+        m = self.m = predictor._machine
+        md = self.md = predictor.md
+        self.rows = rows
+        pop = self.pop = len(rows)
+        S, NC = m.n_sockets, m.n_cores
+        jobs = [job for row in rows for job in row]
+        per_row = np.array([len(row) for row in rows], dtype=np.intp)
+        J = self.J = max(map(len, rows))
+        for wd, placement in jobs:
+            if placement.topology is not m.topology and (
+                placement.topology.shape() != m.shape
+            ):
+                raise PlacementError(
+                    f"workload {wd.name} is placed on a machine shape other "
+                    f"than {md.machine_name}'s {m.shape}"
+                )
+
+        # -- per-job parameters ----------------------------------------
+        first_job = np.cumsum(per_row) - per_row
+        job_row = self.job_row = np.repeat(np.arange(pop), per_row)
+        job_pos = self.job_pos = np.arange(len(jobs)) - first_job[job_row]
+        n_list = [placement.n_threads for _, placement in jobs]
+        n_job = self.n_job = np.array(n_list, dtype=np.intp)
+        amdahl = [
+            amdahl_speedup(wd.parallel_fraction, n) for (wd, _), n in zip(jobs, n_list)
         ]
-        col = n_occ
-        level_offsets: List[Tuple[int, Optional[int]]] = []
-        for i, (_level, _bw, link_cap, agg_cap) in enumerate(t.levels):
-            keys += [t.key_link[i][c] for c in occ_list]
-            cap_blocks.append(np.full(n_occ, link_cap))
-            link_off = col
-            col += n_occ
-            agg_off = None
-            if agg_cap:
-                keys += [t.key_agg[i][s] for s in active]
-                cap_blocks.append(np.full(n_act, agg_cap))
-                agg_off = col
-                col += n_act
-            level_offsets.append((link_off, agg_off))
+        self.amdahl = np.array(amdahl)
+        index: Dict[int, int] = {}
+        which = [index.setdefault(id(wd), len(index)) for wd, _ in jobs]
+        distinct = list({id(wd): wd for wd, _ in jobs}.values())
+        temps = [predictor._demand_template(wd) for wd in distinct]
+        params = [
+            (wd.inter_socket_overhead, wd.load_balance, wd.burstiness, wd.t1)
+            + t.params
+            for wd, t in zip(distinct, temps)
+        ]
+        columns = np.array(
+            [(n, a / n) + params[w] for n, a, w in zip(n_list, amdahl, which)]
+        )
+        self.t1 = columns[:, 5]
+        per_job = np.zeros((pop, J, columns.shape[1]))
+        per_job[job_row, job_pos] = columns
+        (
+            self.n, self.f_init, self.os, self.l, self.b, _,
+            self.inst, self.dram, self.io, self.link_fold, self.agg_fold,
+        ) = per_job[:, :, :11].transpose(2, 0, 1)
+        self.level_bw = per_job[:, :, 11:]
+        self.has_os = any(wd.inter_socket_overhead > 0 for wd in distinct)
 
-        share_matrix = np.zeros((t.n_sockets, t.n_sockets))
-        dram_off = None
-        pair_list: List[Tuple[int, int]] = []
-        pair_off = None
-        if t.has_dram:
-            shares = {s: dram_shares(t.local_fraction, s, active) for s in active}
-            for s in active:
-                for node, share in shares[s].items():
-                    share_matrix[s, node] = share
-            keys += [t.key_dram[s] for s in active]
-            cap_blocks.append(np.full(n_act, t.dram_cap))
-            dram_off = col
-            col += n_act
-            pair_list = [
-                (active[i], active[j])
-                for i in range(n_act)
-                for j in range(i + 1, n_act)
-            ]
-            if pair_list:
-                keys += [t.key_pair[p] for p in pair_list]
-                cap_blocks.append(np.full(len(pair_list), t.interconnect_cap))
-                pair_off = col
-                col += len(pair_list)
-        nic_off = None
-        if t.has_io:
-            keys.append(("nic", 0))
-            cap_blocks.append(np.array([t.nic_cap]))
-            nic_off = col
-            col += 1
+        # -- threads ---------------------------------------------------
+        total = sum(n_list)
+        job_start = np.cumsum(n_job) - n_job
+        t_job = np.repeat(np.arange(len(jobs)), n_job)
+        t_row = job_row[t_job]
+        t_col = np.arange(total) - job_start[first_job][t_row]
+        T = self.T = int(t_col.max()) + 1
+        ids = np.zeros((pop, T), dtype=np.intp)
+        ids[t_row, t_col] = np.fromiter(
+            chain.from_iterable(p.hw_thread_ids for _, p in jobs), np.intp, total
+        )
+        self.job_of = np.zeros((pop, T), dtype=np.intp)
+        self.job_of[t_row, t_col] = job_pos[t_job]
+        valid = self.valid = np.zeros((pop, T), dtype=bool)
+        valid[t_row, t_col] = True
+        row = np.arange(pop)[:, None]
+        if J > 1:
+            claims = np.bincount((row * m.n_hw + ids)[valid], minlength=pop * m.n_hw)
+            if claims.max() > 1:
+                r, tid = divmod(int(np.argmax(claims > 1)), m.n_hw)
+                owners = [wd.name for wd, p in rows[r] if tid in p.hw_thread_ids]
+                raise PlacementError(
+                    f"hardware thread {tid} claimed by workloads "
+                    f"{owners[0]} and {owners[1]}"
+                )
 
-        coeffs = np.zeros((n, col))
-        rows = np.arange(n)
-        coeffs[rows, cs] = t.inst_rate
-        for (_level, bw, _link_cap, _agg_cap), (link_off, agg_off) in zip(
-            t.levels, level_offsets
-        ):
-            coeffs[rows, link_off + cs] = bw
-            if agg_off is not None:
-                coeffs[rows, agg_off + ss] = bw
-        if t.has_dram:
-            share_sub = share_matrix[np.ix_(active_arr, active_arr)]
-            coeffs[:, dram_off : dram_off + n_act] = t.dram_bw * share_sub[ss]
-            if pair_list:
-                # Both directions load the same interconnect link; a
-                # thread contributes its share toward the far socket.
-                pair_vals = np.zeros((n_act, len(pair_list)))
-                for j, (s, u) in enumerate(pair_list):
-                    pair_vals[sock_lut[s], j] = t.dram_bw * share_matrix[s, u]
-                    pair_vals[sock_lut[u], j] = t.dram_bw * share_matrix[u, s]
-                coeffs[:, pair_off : pair_off + len(pair_list)] = pair_vals[ss]
-        if nic_off is not None:
-            coeffs[:, nic_off] = t.io_bw
+        # -- cores and sockets, shared by every job on them -------------
+        self.core_ids = m.core_map[ids]
+        self.sock_ids = m.socket_map[ids]
+        seg_job = self.seg_job = row * J + self.job_of
+        self.seg_core = seg_job * NC + self.core_ids
+        self.seg_sock = seg_job * S + self.sock_ids
+        row_core = row * NC + self.core_ids
+        core_n = np.bincount(row_core[valid], minlength=pop * NC)
+        self.shared = valid & (core_n[row_core] > 1)
+        self.core_cap = np.where(
+            core_n.reshape(pop, NC) > 1, md.core_rate_smt, md.core_rate
+        )
+        self.job_sock_n = np.bincount(self.seg_sock[valid], minlength=pop * J * S)
+        self.active = self.job_sock_n.reshape(pop, J, S) > 0
 
-        caps = np.concatenate(cap_blocks) if cap_blocks else np.zeros(0)
-        self.capacities: Dict[ResourceKey, float] = dict(zip(keys, caps.tolist()))
-        self._keys = keys
-        self._caps = caps
-        self._coeffs = coeffs
-        self._used = coeffs > 0
-        #: Public mask of threads sharing their core with another thread
-        #: (Section 5.1's burstiness penalty); used by both the scalar
-        #: and batch kernels.
-        self.shared_core_mask = core_counts[core_ids] > 1
-        self.socket_ids = socket_ids
-        self.sock_counts = sock_counts
-        self.core_cols = cs
-        self.n_occupied_cores = n_occ
-        self.active_sockets = active
-        self.share_matrix = share_matrix
-
-    def loads_array(self, utilisation: np.ndarray) -> np.ndarray:
-        """Aggregate demand per resource (column order of ``keys``)."""
-        return utilisation @ self._coeffs
-
-    def loads(self, utilisation: Sequence[float]) -> Dict[ResourceKey, float]:
-        """Aggregate demand on each resource, scaled by utilisation."""
-        values = self.loads_array(np.asarray(utilisation, dtype=float))
-        return dict(zip(self._keys, values.tolist()))
-
-    def resource_slowdowns_array(self, utilisation: np.ndarray) -> np.ndarray:
-        """Per-thread max oversubscription among its resources (>= 1)."""
-        ratio = self.loads_array(utilisation) / self._caps
-        worst = np.where(self._used, ratio[np.newaxis, :], 0.0).max(axis=1)
-        return np.maximum(worst, 1.0)
-
-    def resource_slowdowns(self, utilisation: Sequence[float]) -> List[float]:
-        """List form of :meth:`resource_slowdowns_array`."""
-        return [
-            float(s)
-            for s in self.resource_slowdowns_array(
-                np.asarray(utilisation, dtype=float)
+        # DRAM shares per job: a job's traffic interleaves over its own
+        # active sockets (one matrix per distinct locality and socket
+        # set); remote shares load the interconnect links.
+        self.has_dram = any(t.dram_bw > 0 for t in temps)
+        self.has_io = any(t.params[2] > 0 for t in temps)
+        self.share = np.zeros((pop, J, S, S))
+        if self.has_dram:
+            kinds: Dict[Tuple[int, int], int] = {}
+            sets = (self.active[job_row, job_pos] @ m.socket_bits).tolist()
+            inverse = [kinds.setdefault(kind, len(kinds)) for kind in zip(which, sets)]
+            mats = np.zeros((len(kinds), S, S))
+            for (w, bits), i in kinds.items():
+                if temps[w].dram_bw > 0:
+                    mats[i] = predictor._share_matrix(
+                        temps[w].local_fraction,
+                        tuple(s for s in range(S) if bits >> s & 1),
+                    )
+            self.share[job_row, job_pos] = mats[inverse]
+        # The memory resources a thread reaches from its socket: DRAM
+        # nodes, by its job's share to each, then interconnect links.
+        # Each link carries both directions' remote traffic: a thread at
+        # either end loads it by its job's DRAM demand times its share
+        # toward the far end.  Node loads scale by that demand after
+        # summing (``mem_scale``); link coefficients already carry it.
+        if self.has_dram:
+            pu, pv = m.pair_u, m.pair_v
+            demand = self.dram[:, :, None, None]
+            toward_v = demand * self.share[:, :, pu, pv][:, :, None]
+            toward_u = demand * self.share[:, :, pv, pu][:, :, None]
+            links = np.where(m.at_u, toward_v, np.where(m.at_v, toward_u, 0.0))
+            self.mem_share = np.concatenate([self.share, links], axis=3)
+            self.mem_scale = np.concatenate(
+                [
+                    np.broadcast_to(self.dram[:, :, None], (pop, J, S)),
+                    np.ones((pop, J, len(m.pairs))),
+                ],
+                axis=2,
             )
-        ]
+
+    def per_thread(self, per_job: np.ndarray) -> np.ndarray:
+        """Gather a ``(pop, J)`` array onto each thread's job."""
+        return per_job.ravel()[self.seg_job.ravel()].reshape(self.pop, self.T)
+
+    def resource_dicts(
+        self, futil: np.ndarray
+    ) -> Tuple[List[Dict[ResourceKey, float]], List[Dict[ResourceKey, float]]]:
+        """Per-row resource loads and capacities at utilisation *futil*.
+
+        Loads are demand times utilisation, summed per job and then over
+        the job axis, laid out in the machine's key order.  A resource
+        is in a row's dictionaries when one of the row's jobs touches it:
+        its core, a cache link or aggregate it demands, its job's DRAM
+        nodes and the links between them, the NIC.
+        """
+        m, pop, J = self.m, self.pop, self.J
+        S, NC, agg = m.n_sockets, m.n_cores, m.agg_levels
+        pu, pv = m.pair_u, m.pair_v
+        fw = futil.ravel()
+        fs_core = np.bincount(
+            self.seg_core.ravel(), fw, minlength=pop * J * NC
+        ).reshape(pop, J, NC)
+        fs_sock = np.bincount(
+            self.seg_sock.ravel(), fw, minlength=pop * J * S
+        ).reshape(pop, J, S)
+        core_demand = np.concatenate([self.inst[:, :, None], self.level_bw], axis=2)
+        agg_demand = self.level_bw[:, :, agg]
+        mem_load = np.zeros((pop, len(m.mem_caps)))
+        if self.has_dram:
+            mem_load = _memory_loads(fs_sock, self.mem_share, self.mem_scale)
+        nic_load = np.zeros(pop)
+        if self.has_io:
+            f_job = np.bincount(
+                self.seg_job.ravel(), fw, minlength=pop * J
+            ).reshape(pop, J)
+            nic_load = _job_sum(self.io * f_job)
+        loads = np.concatenate(
+            [
+                _job_sum(core_demand[:, :, None, :] * fs_core[:, :, :, None])
+                .reshape(pop, -1),
+                np.concatenate(
+                    [
+                        _job_sum(agg_demand[:, :, None, :] * fs_sock[:, :, :, None]),
+                        mem_load[:, :S, None],
+                    ],
+                    axis=2,
+                ).reshape(pop, -1),
+                mem_load[:, S:],
+                nic_load[:, None],
+            ],
+            axis=1,
+        )
+
+        any_job = np.logical_or.reduce
+        on_core = np.bincount(
+            self.seg_core[self.valid], minlength=pop * J * NC
+        ).reshape(pop, J, NC, 1) > 0
+        touches = core_demand > 0
+        touches[:, :, 0] = True
+        dram_on = (self.dram > 0)[:, :, None]
+        sock_touches = np.concatenate([agg_demand > 0, dram_on], axis=2)
+        present = np.concatenate(
+            [
+                any_job(on_core & touches[:, :, None, :], axis=1).reshape(pop, -1),
+                any_job(
+                    self.active[:, :, :, None] & sock_touches[:, :, None, :], axis=1
+                ).reshape(pop, -1),
+                any_job(
+                    self.active[:, :, pu] & self.active[:, :, pv] & dram_on, axis=1
+                ),
+                any_job(self.io > 0, axis=1)[:, None],
+            ],
+            axis=1,
+        )
+        caps = np.empty(present.shape)
+        caps[:] = m.caps
+        caps[:, m.core_keys] = self.core_cap
+
+        names = iter(list(map(m.keys.__getitem__, np.nonzero(present)[1].tolist())))
+        load_values = iter(loads[present].tolist())
+        cap_values = iter(caps[present].tolist())
+        out_loads: List[Dict[ResourceKey, float]] = []
+        out_caps: List[Dict[ResourceKey, float]] = []
+        for count in np.count_nonzero(present, axis=1).tolist():
+            row_keys = list(islice(names, count))
+            out_loads.append(dict(zip(row_keys, islice(load_values, count))))
+            out_caps.append(dict(zip(row_keys, islice(cap_values, count))))
+        return out_loads, out_caps
+
+    def predictions(
+        self,
+        final: np.ndarray,
+        final_f: np.ndarray,
+        iterations: np.ndarray,
+        converged: np.ndarray,
+        trace: List[IterationTrace],
+    ) -> List[List[Prediction]]:
+        """One :class:`Prediction` per job, grouped by row."""
+        valid = self.valid
+        f_init_t = self.per_thread(self.f_init)
+        slowdown = np.where(valid, final, 1.0)
+        futil = np.where(valid, f_init_t / slowdown, 0.0)
+        loads, caps = self.resource_dicts(futil)
+        inv = np.where(valid, 1.0 / slowdown, 0.0)
+        inv_total = np.bincount(
+            self.seg_job.ravel(), inv.ravel(), minlength=self.pop * self.J
+        )[self.job_row * self.J + self.job_pos]
+        speedup = self.amdahl * (inv_total / self.n_job)
+        time = self.t1 / speedup
+
+        # Valid threads in row-major order are the jobs' threads in job
+        # order, so each job's values are the next n of these streams.
+        slowdowns = iter(final[valid].tolist())
+        utilisations = iter(futil[valid].tolist())
+        f_norms = iter((final_f[valid] / f_init_t[valid]).tolist())
+        per_job = zip(
+            self.n_job.tolist(), self.amdahl.tolist(), speedup.tolist(), time.tolist()
+        )
+        machine = self.md.machine_name
+        out: List[List[Prediction]] = []
+        for row, it, conv, row_loads, row_caps in zip(
+            self.rows, iterations.tolist(), converged.tolist(), loads, caps
+        ):
+            preds: List[Prediction] = []
+            for (wd, placement), (n, amdahl, speedup_j, time_j) in zip(row, per_job):
+                preds.append(
+                    Prediction(
+                        workload_name=wd.name,
+                        machine_name=machine,
+                        placement=placement,
+                        amdahl=amdahl,
+                        speedup=speedup_j,
+                        predicted_time_s=time_j,
+                        slowdowns=tuple(islice(slowdowns, n)),
+                        utilisations=tuple(islice(utilisations, n)),
+                        iterations=it,
+                        converged=conv,
+                        resource_loads=row_loads,
+                        resource_capacities=row_caps,
+                        final_f_norm=tuple(islice(f_norms, n)),
+                    )
+                )
+            out.append(preds)
+        out[0][0].trace = trace
+        return out
+
+
+def _trace_row(
+    iteration: int,
+    residual: float,
+    resource: np.ndarray,
+    comm: Optional[np.ndarray],
+    balance: np.ndarray,
+    overall: np.ndarray,
+    f_start: np.ndarray,
+    f_init: np.ndarray,
+) -> IterationTrace:
+    """The Figure-7 columns of a one-row population's iteration."""
+    return IterationTrace(
+        iteration=iteration,
+        max_residual=residual,
+        resource_slowdown=resource[0].tolist(),
+        comm_penalty=(np.zeros_like(resource) if comm is None else comm)[0].tolist(),
+        balance_penalty=balance[0].tolist(),
+        overall_slowdown=overall[0].tolist(),
+        start_utilisation=f_start[0].tolist(),
+        end_utilisation=(f_init[0] / overall[0]).tolist(),
+    )
 
 
 class PandiaPredictor:
@@ -691,10 +875,14 @@ class PandiaPredictor:
         tolerance: float = 1e-6,
     ) -> None:
         if max_iterations < 1:
-            raise PredictionError("need at least one iteration")
+            raise PredictionError(
+                f"machine {machine_description.machine_name}: need at least "
+                f"one fixed-point iteration, got max_iterations={max_iterations}"
+            )
         self.md = machine_description
         self.max_iterations = max_iterations
         self.tolerance = tolerance
+        self._machine = _MachineLayout(machine_description)
         self._templates: Dict[Tuple[Hashable, ...], _DemandTemplate] = {}
         self._share_cache: Dict[Tuple[float, Tuple[int, ...]], np.ndarray] = {}
 
@@ -718,180 +906,14 @@ class PandiaPredictor:
         attractor are unchanged, so the result matches the cold run to
         within the convergence tolerance — the seed only changes how
         many iterations it takes to get there.
+
+        With *keep_trace* the prediction carries one
+        :class:`IterationTrace` (the Figure-7 columns) per iteration.
         """
-        n = placement.n_threads
-        p = workload.parallel_fraction
-        amdahl = amdahl_speedup(p, n)
-        f_initial = amdahl / n
-
-        demands = self._thread_demands(workload, placement)
-        lock_comm, remote_mask = self._communication_terms(workload, demands, n)
-
-        seed_vectors: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        if seed is not None:
-            seed_vectors = seed.map_to(placement)
-
-        f_start = np.full(n, f_initial)
-        prev_overall: Optional[np.ndarray] = None
-        # True while prev_overall was injected (seed or Aitken jump) rather
-        # than computed from f_start's predecessor by the update rule.  The
-        # stopping test must not fire against an injected value: a foreign
-        # overall can coincide with overall(f_start) — e.g. both pinned at
-        # the cap — without (f_start, overall) being a fixed point.
-        synthetic_prev = False
-        slowdown_cap: Optional[float] = None
-        settle_hist: List[Tuple[np.ndarray, np.ndarray]] = []
-        trace: List[IterationTrace] = []
-        converged = False
-        iterations = 0
-
-        # Telemetry is a single hoisted branch: the disabled path pays
-        # one bool per call and nothing per iteration.
-        obs_on = obs.enabled()
-        if obs_on:
-            _tracer = obs.tracer()
-            _m = obs.metrics()
-            res_hist = _m.histogram("predictor.residual", RESIDUAL_BUCKETS)
-            _m.counter("predictor.predictions").inc()
-            if seed is not None:
-                _m.counter("predictor.warm.predictions").inc()
-            pspan = _tracer.start(
-                "predictor.predict",
-                attrs={
-                    "workload": workload.name,
-                    "machine": self.md.machine_name,
-                    "threads": n,
-                    "seeded": seed is not None,
-                },
-            )
-
-        try:
-            for iteration in range(1, self.max_iterations + 1):
-                iterations = iteration
-                resource, comm, balance, overall = self._one_iteration(
-                    workload, demands, f_initial, f_start, lock_comm, remote_mask, n
-                )
-
-                # Bound all values between no slowdown and the maximum seen
-                # on the first iteration (Section 5.4).
-                if slowdown_cap is None:
-                    slowdown_cap = float(overall.max())
-                    if seed_vectors is not None:
-                        # Warm start.  The cap frequently *binds at* the
-                        # attractor, so it must be the cold reference's
-                        # cap — which the uniform first iteration just
-                        # produced.  Now jump the trajectory to the
-                        # seed's state and keep iterating; the stopping
-                        # rule below is untouched.
-                        overall = np.clip(overall, 1.0, slowdown_cap)
-                        if keep_trace:
-                            trace.append(
-                                IterationTrace(
-                                    iteration=iteration,
-                                    max_residual=math.inf,
-                                    resource_slowdown=tuple(
-                                        float(v) for v in resource
-                                    ),
-                                    comm_penalty=tuple(float(v) for v in comm),
-                                    balance_penalty=tuple(
-                                        float(v) for v in balance
-                                    ),
-                                    overall_slowdown=tuple(
-                                        float(v) for v in overall
-                                    ),
-                                    start_utilisation=tuple(
-                                        float(v) for v in f_start
-                                    ),
-                                    end_utilisation=tuple(
-                                        float(v) for v in f_initial / overall
-                                    ),
-                                )
-                            )
-                        seed_f, seed_overall = seed_vectors
-                        prev_overall = np.clip(seed_overall, 1.0, slowdown_cap)
-                        synthetic_prev = True
-                        f_start = f_initial * np.clip(seed_f, 0.0, 1.0)
-                        continue
-                overall = np.clip(overall, 1.0, slowdown_cap)
-
-                delta = math.inf
-                if prev_overall is not None:
-                    delta = float(np.max(np.abs(overall - prev_overall)))
-
-                if keep_trace:
-                    trace.append(
-                        IterationTrace(
-                            iteration=iteration,
-                            max_residual=delta,
-                            resource_slowdown=tuple(float(v) for v in resource),
-                            comm_penalty=tuple(float(v) for v in comm),
-                            balance_penalty=tuple(float(v) for v in balance),
-                            overall_slowdown=tuple(float(v) for v in overall),
-                            start_utilisation=tuple(float(v) for v in f_start),
-                            end_utilisation=tuple(
-                                float(v) for v in f_initial / overall
-                            ),
-                        )
-                    )
-                if obs_on and math.isfinite(delta):
-                    res_hist.observe(delta)
-
-                if delta < self.tolerance and not synthetic_prev:
-                    converged = True
-                    prev_overall = overall
-                    break
-                prev_overall = overall
-                synthetic_prev = False
-
-                # Feed the penalty ratio into the next iteration's starting
-                # utilisation (Section 5.4).
-                f_next = f_initial * np.minimum(resource / overall, 1.0)
-                if iteration > DAMPEN_AFTER:
-                    f_next = 0.5 * (f_start + f_next)
-                if seed_vectors is not None:
-                    # Warm settle is Aitken-accelerated: the contraction
-                    # near the attractor is geometric, so every
-                    # AITKEN_CYCLE iterates a delta-squared jump
-                    # extrapolates both trajectories to their limit.
-                    # Clipping keeps the jump inside the iteration's own
-                    # invariants; a bad jump is self-correcting because
-                    # the plain iteration resumes from it.
-                    settle_hist.append((f_next, overall))
-                    if len(settle_hist) == AITKEN_CYCLE:
-                        f_jump, o_jump = _aitken_jump(settle_hist)
-                        f_next = np.clip(f_jump, 0.0, f_initial)
-                        prev_overall = np.clip(o_jump, 1.0, slowdown_cap)
-                        synthetic_prev = True
-                        settle_hist = []
-                f_start = f_next
-        finally:
-            if obs_on:
-                _m.histogram("predictor.iterations").observe(iterations)
-                pspan.attrs["iterations"] = iterations
-                pspan.attrs["converged"] = converged
-                _tracer.end(pspan)
-
-        assert prev_overall is not None
-        slowdowns = prev_overall
-        speedup = amdahl * float(np.mean(1.0 / slowdowns))
-        final_utilisation = f_initial / slowdowns
-        loads = demands.loads(final_utilisation)
-        return Prediction(
-            workload_name=workload.name,
-            machine_name=self.md.machine_name,
-            placement=placement,
-            amdahl=amdahl,
-            speedup=speedup,
-            predicted_time_s=workload.t1 / speedup,
-            slowdowns=tuple(float(s) for s in slowdowns),
-            utilisations=tuple(float(f) for f in final_utilisation),
-            iterations=iterations,
-            converged=converged,
-            trace=trace,
-            resource_loads=loads,
-            resource_capacities=dict(demands.capacities),
-            final_f_norm=tuple(float(v) for v in f_start / f_initial),
+        (row,) = self._solve(
+            [[(workload, placement)]], "predictor.predict", seed, keep_trace
         )
+        return row[0]
 
     def predict_batch(
         self,
@@ -901,320 +923,179 @@ class PandiaPredictor:
     ) -> List[Prediction]:
         """Predict every placement in one vectorised fixed point.
 
-        The whole population's demand state is stacked into padded
-        arrays (threads padded to the chunk's maximum count with a
-        validity mask) and Figure 8's three penalty steps run as masked
-        NumPy operations over all placements at once.  Placements whose
-        slowdowns stabilise drop out of further iterations (active-set
-        convergence) while stragglers continue; the per-placement
-        slowdown cap and dampening semantics match :meth:`predict`
-        exactly, so results agree with the scalar path within 1e-12.
-
-        *seed* warm-starts every placement in the population from one
-        shared :class:`SeedState` (mapped onto each placement's shape),
-        with the same cold-cap protocol and Aitken-accelerated settle
-        as :meth:`predict` — see there for the equivalence contract.
-
-        Per-placement traces are not recorded — use :meth:`predict`
-        with ``keep_trace=True`` to inspect a single placement's
-        iterations.  With :mod:`repro.obs` enabled the kernel instead
-        emits population-level convergence telemetry: a
-        ``predictor.predict_batch`` span per chunk, a
-        ``predictor.iteration`` span per fixed-point iteration (active
-        rows, max residual, rows compacted), and the
-        ``predictor.iterations`` / ``predictor.residual`` /
-        ``predictor.batch.alive_rows`` histograms.
+        The kernel of :meth:`predict`, over one-job rows in chunks of
+        :data:`BATCH_CHUNK`; each prediction is bit-identical to
+        :meth:`predict` on its placement, whatever else shares the
+        chunk.  *seed* warm-starts every row from one shared
+        :class:`SeedState`, mapped onto each placement's shape.
         """
-        placements = list(placements)
-        results: List[Prediction] = []
-        for start in range(0, len(placements), BATCH_CHUNK):
-            results.extend(
-                self._predict_batch_chunk(
-                    workload, placements[start : start + BATCH_CHUNK], seed=seed
-                )
+        rows = [[(workload, p)] for p in placements]
+        return [
+            row[0]
+            for start in range(0, len(rows), BATCH_CHUNK)
+            for row in self._solve(
+                rows[start : start + BATCH_CHUNK], "predictor.predict_batch", seed
             )
-        return results
+        ]
 
     def predict_time(self, workload: WorkloadDescription, placement: Placement) -> float:
         """Convenience: predicted absolute execution time in seconds."""
         return self.predict(workload, placement).predicted_time_s
 
-    # -- internals ---------------------------------------------------------
-
-    def _thread_demands(
+    def full_load_ratios(
         self, workload: WorkloadDescription, placement: Placement
-    ) -> _ThreadDemands:
-        """Demand rows for one placement, via the template cache."""
-        return _ThreadDemands(
-            self.md, workload, placement, template=self._demand_template(workload)
+    ) -> Dict[ResourceKey, float]:
+        """Load/capacity of each resource *placement* touches with every
+        thread fully busy (``f = 1``): Section 4.2's no-contention test
+        for Run 2's thread count."""
+        population = _Population(self, [[(workload, placement)]])
+        (loads,), (caps,) = population.resource_dicts(
+            population.valid.astype(float)
         )
+        return {key: load / caps[key] for key, load in loads.items()}
+
+    # -- the kernel --------------------------------------------------------
 
     def _demand_template(self, workload: WorkloadDescription) -> _DemandTemplate:
         key = _demand_key(workload.demands)
         template = self._templates.get(key)
         if template is None:
             template = self._templates[key] = _DemandTemplate(
-                self.md, workload.demands
+                self.md, self._machine, workload.demands
             )
         return template
 
-    @staticmethod
-    def _communication_terms(
-        workload: WorkloadDescription, demands: _ThreadDemands, n: int
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Lock-step comm costs and the thread-pair remoteness matrix."""
-        os_ = workload.inter_socket_overhead
-        sockets = np.array(demands.socket_ids)
-        remote = sockets[:, np.newaxis] != sockets[np.newaxis, :]
-        np.fill_diagonal(remote, False)
-        lock = os_ * remote.sum(axis=1).astype(float) if os_ > 0 else np.zeros(n)
-        return lock, remote
-
-    def _one_iteration(
-        self,
-        workload: WorkloadDescription,
-        demands: _ThreadDemands,
-        f_initial: float,
-        f_start: np.ndarray,
-        lock_comm: np.ndarray,
-        remote_mask: np.ndarray,
-        n: int,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        b = workload.burstiness
-        l = workload.load_balance
-        os_ = workload.inter_socket_overhead
-
-        # Step 1: slowdown from resource contention (Section 5.1),
-        # plus the burstiness penalty for threads sharing a core.
-        base = demands.resource_slowdowns_array(f_start)
-        resource = np.where(
-            demands.shared_core_mask, base * (1.0 + b * f_start), base
-        )
-        f_cur = f_initial / resource
-
-        # Step 2: penalties for off-socket communication (Section 5.2).
-        comm = np.zeros(n)
-        overall = resource.copy()
-        if os_ > 0 and lock_comm.any():
-            work = 1.0 / resource
-            weights = work / work.sum()
-            independent = n * os_ * (remote_mask @ weights)
-            comm_slowdown = l * independent + (1.0 - l) * lock_comm
-            comm = comm_slowdown * f_cur
-            overall = resource + comm
-            f_cur = f_initial / overall
-
-        # Step 3: penalties for poor load balancing (Section 5.3).
-        worst = overall.max()
-        target = l * overall + (1.0 - l) * worst
-        balance = target - overall
-        return resource, comm, balance, target
-
-    # -- batch kernel ------------------------------------------------------
-
-
     def _share_matrix(
-        self, template: _DemandTemplate, active: Tuple[int, ...]
+        self, local_fraction: float, active: Tuple[int, ...]
     ) -> np.ndarray:
         """DRAM share matrix for one active-socket set, memoised.
 
         ``mat[s, d]`` is the fraction of a socket-``s`` thread's DRAM
         traffic that lands on node ``d`` — `lambda` to its own node, the
-        remainder interleaved over the placement's active sockets.  Only
-        a handful of active sets exist per machine, so every placement
-        in a population reuses these.
+        remainder interleaved over the job's active sockets.  Only a
+        handful of active sets exist per machine, so rows reuse these.
         """
-        key = (template.local_fraction, active)
+        key = (local_fraction, active)
         mat = self._share_cache.get(key)
         if mat is None:
-            mat = np.zeros((template.n_sockets, template.n_sockets))
+            n = self._machine.n_sockets
+            mat = np.zeros((n, n))
             for s in active:
-                for node, fraction in dram_shares(
-                    template.local_fraction, s, active
-                ).items():
+                for node, fraction in dram_shares(local_fraction, s, active).items():
                     mat[s, node] = fraction
             self._share_cache[key] = mat
         return mat
 
-    def _predict_batch_chunk(
+    def _solve(
         self,
-        workload: WorkloadDescription,
-        placements: List[Placement],
+        rows: Sequence[Sequence[Job]],
+        span: str,
         seed: Optional[SeedState] = None,
-    ) -> List[Prediction]:
-        """One stacked fixed point over a chunk of placements.
+        keep_trace: bool = False,
+    ) -> List[List[Prediction]]:
+        """Figure 8's fixed point over a population of co-schedules.
 
-        The kernel works in a *slotted* column space instead of the
-        scalar path's dense (thread x resource) matrix: per-core and
-        per-socket utilisation sums are one weighted ``bincount`` over
-        the flattened (placement, thread) grid, every resource class's
-        oversubscription is a scaled gather of those sums, and resource
-        classes that scale the same sum (core rate and per-core cache
-        links; the per-socket cache aggregates) are folded into one
-        coefficient before the gather.  The per-iteration working set is
-        O(population x threads), not O(population x threads x
-        resources).
+        Each row is a list of jobs sharing the machine; the result holds
+        one :class:`Prediction` per job, grouped by row, and a row's
+        jobs share its iteration count, convergence flag and resource
+        dictionaries.  Per job: Amdahl speedup, ``f_initial``,
+        burstiness, communication and load balance.  Per (row, job):
+        utilisation sums per core and per socket.  Resource loads are
+        summed over the job axis, and each thread takes its own job's
+        worst class ratio.  Per row: the Section-5.4 cap and the
+        convergence test; converged rows are compacted out while
+        stragglers iterate on.
+
+        Every sum over threads or jobs is sequential, so a row's result
+        is bit-identical whatever else shares its call.  *seed* and
+        *keep_trace* are for one-job rows (*keep_trace* for one row).
         """
-        if not placements:
+        if not rows:
             return []
-        t = self._demand_template(workload)
-        n_cores, n_sockets = t.n_cores, t.n_sockets
-        pop = len(placements)
-        p_frac = workload.parallel_fraction
-        os_ = workload.inter_socket_overhead
-        l = workload.load_balance
-        b = workload.burstiness
-
-        n_arr = np.array([p.n_threads for p in placements], dtype=np.intp)
-        amdahl_arr = np.array([amdahl_speedup(p_frac, int(n)) for n in n_arr])
-        f_init = amdahl_arr / n_arr
-        n_max = int(n_arr.max())
-        row = np.arange(pop)[:, None]
-        valid = np.arange(n_max)[None, :] < n_arr[:, None]
+        p = _Population(self, rows)
+        m, pop, J, T = p.m, p.pop, p.J, p.T
+        S, NC = m.n_sockets, m.n_cores
+        # A job's parameters reach its threads by a gather; with one job
+        # per row they are (pop, 1) columns that broadcast instead.
+        job_param = p.per_thread if J > 1 else (lambda column: column)
+        l_t = job_param(p.l)
+        a = _Rows(
+            valid=p.valid,
+            shared=p.shared,
+            job_of=p.job_of,
+            core_ids=p.core_ids,
+            sock_ids=p.sock_ids,
+            job_mask=p.valid[:, None, :]
+            if J == 1
+            else (p.job_of[:, None, :] == np.arange(J)[:, None])
+            & p.valid[:, None, :],
+            f_init_t=job_param(p.f_init),
+            b_t=job_param(p.b),
+            l_t=l_t,
+            rest_t=1.0 - l_t,
+        )
+        agg = m.agg_levels
+        if J == 1:
+            # One job per row: the classes that scale one utilisation
+            # sum fold into one coefficient (exactly — rounding is
+            # monotone, so the max commutes with the positive factor).
+            a.core_fold = np.maximum(
+                p.inst[:, :, None] / p.core_cap[:, None, :], p.link_fold[:, :, None]
+            )
+            a.agg_fold = p.agg_fold[:, :, None]
+        else:
+            # Per resource class, each job's demand over its capacity;
+            # a thread sees the classes its own job demands.
+            core_caps = np.concatenate(
+                [
+                    p.core_cap[:, None, :],
+                    np.broadcast_to(m.link_caps[:, None], (pop, len(m.levels), NC)),
+                ],
+                axis=1,
+            )
+            demand = np.concatenate([p.inst[:, :, None], p.level_bw], axis=2)
+            a.core_coef = demand[:, :, :, None] / core_caps[:, None]
+            a.core_used = (demand > 0)[:, :, :, None]
+            a.core_used[:, :, 0] = True
+            a.agg_coef = (p.level_bw[:, :, agg] / m.agg_caps)[:, :, :, None]
+            a.agg_used = a.agg_coef > 0
+        if p.has_dram:
+            # A thread's memory resources are those its job sends it
+            # traffic to from the thread's socket.
+            a.mem_share = p.mem_share
+            a.mem_scale = p.mem_scale
+            a.mem_uses = p.mem_share > 0
+        has_io = p.has_io
+        if has_io:
+            a.io = p.io
+            a.io_t = job_param(p.io > 0)
+        comm_on = False
+        if p.has_os:
+            has_comm = (p.os > 0) & (np.add.reduce(p.active, axis=2) > 1)
+            comm_on = bool(np.count_nonzero(has_comm))
+        if comm_on:
+            # Lock-step cost: the job's overhead times its remote peers.
+            n_t = job_param(p.n)
+            os_t = job_param(p.os)
+            own = p.job_sock_n[p.seg_sock.ravel()].reshape(pop, T)
+            a.n_os_t = n_t * os_t
+            a.lock_t = np.where(p.valid, os_t * (n_t - own), 0.0)
+            a.comm_t = job_param(has_comm)
+        # The burstiness penalty is a no-op (x * 1.0) unless some thread
+        # both shares its core and belongs to a bursty job.
+        bursty = bool(np.count_nonzero(p.shared & (a.b_t > 0)))
 
         warm: Optional[Tuple[np.ndarray, np.ndarray]] = None
         if seed is not None:
-            warm_f = np.zeros((pop, n_max))
-            warm_o = np.ones((pop, n_max))
-            for k, p in enumerate(placements):
-                sf, so = seed.map_to(p)
-                warm_f[k, : n_arr[k]] = sf
-                warm_o[k, : n_arr[k]] = so
+            warm_f = np.zeros((pop, T))
+            warm_o = np.ones((pop, T))
+            for k, ((_, placement),) in enumerate(rows):
+                n = placement.n_threads
+                warm_f[k, :n], warm_o[k, :n] = seed.map_to(placement)
             warm = (warm_f, warm_o)
 
-        ids = np.zeros((pop, n_max), dtype=np.intp)
-        for k, p in enumerate(placements):
-            ids[k, : n_arr[k]] = p.hw_thread_ids
-        core_ids = t.core_map[ids]
-        sock_ids = t.socket_map[ids]
-
-        # Per-placement per-core thread counts; padded threads fall in a
-        # sentinel bin that is sliced away.
-        core_sent = np.where(valid, core_ids, n_cores)
-        counts = np.bincount(
-            (row * (n_cores + 1) + core_sent).ravel(),
-            minlength=pop * (n_cores + 1),
-        ).reshape(pop, n_cores + 1)[:, :n_cores]
-        occ_mask = counts > 0
-        c_count = occ_mask.sum(axis=1)
-        c_max = int(c_count.max())
-        # A thread's core *slot* is its core's rank among the
-        # placement's occupied cores (ascending core id) — the same
-        # order the scalar path assigns core columns.
-        slot_of_core = occ_mask.cumsum(axis=1) - 1
-        flat_cores = (row * n_cores + core_ids).ravel()
-        core_slot = np.where(
-            valid, slot_of_core.ravel()[flat_cores].reshape(pop, n_max), 0
-        )
-        shared = valid & (counts.ravel()[flat_cores].reshape(pop, n_max) > 1)
-
-        sock_sent = np.where(valid, sock_ids, n_sockets)
-        sock_counts = np.bincount(
-            (row * (n_sockets + 1) + sock_sent).ravel(),
-            minlength=pop * (n_sockets + 1),
-        ).reshape(pop, n_sockets + 1)[:, :n_sockets]
-        active_mask = sock_counts > 0
-        active_tuples = [
-            tuple(s for s, on in enumerate(flags) if on)
-            for flags in active_mask.tolist()
-        ]
-        sock_slot = np.where(valid, sock_ids, 0)
-
-        # Per-core capacities in slot order (SMT rate when shared).
-        rows_occ, cols_occ = np.nonzero(occ_mask)
-        core_cap = np.ones((pop, c_max))
-        core_cap[rows_occ, slot_of_core[rows_occ, cols_occ]] = np.where(
-            counts[rows_occ, cols_occ] > 1, t.core_rate_smt, t.core_rate
-        )
-
-        share = np.zeros((pop, n_sockets, n_sockets))
-        if t.has_dram:
-            for k, act in enumerate(active_tuples):
-                share[k] = self._share_matrix(t, act)
-
-        flat_core0 = (row * c_max + core_slot).ravel()
-        flat_sock0 = (row * n_sockets + sock_slot).ravel()
-        # Row sums over the thread axis go through bincount (strictly
-        # sequential accumulation), not ndarray.sum (pairwise, whose
-        # grouping depends on the padded width) — so every placement's
-        # result is bit-identical no matter which chunk it shares.
-        rows_flat0 = np.repeat(np.arange(pop), n_max)
-
-        lock = np.zeros((pop, n_max))
-        if os_ > 0:
-            own_counts = sock_counts.ravel()[flat_sock0].reshape(pop, n_max)
-            lock = np.where(
-                valid, os_ * (n_arr[:, None] - own_counts).astype(float), 0.0
-            )
-        has_comm = lock.any(axis=1)
-
-        # Fold every resource class that scales the per-core sum into
-        # one per-core coefficient (max over class ratios commutes with
-        # the shared positive factor), and likewise for the per-socket
-        # cache aggregates.
-        core_coef = t.inst_rate / core_cap
-        link_coef = max((bw / cap for _lv, bw, cap, _agg in t.levels), default=None)
-        if link_coef is not None:
-            core_coef = np.maximum(core_coef, link_coef)
-        agg_coef = max(
-            (bw / agg for _lv, bw, _cap, agg in t.levels if agg), default=None
-        )
-
-        pairs = list(t.key_pair)
-        has_dram = t.has_dram
-        if has_dram:
-            dram_mask = share > 0  # (pop, thread socket, node)
-        if has_dram and pairs:
-            pair_u = np.array([u for u, _ in pairs], dtype=np.intp)
-            pair_v = np.array([v for _, v in pairs], dtype=np.intp)
-            # Each link carries both directions' remote DRAM traffic;
-            # the coefficients fold the share matrix in once.
-            link_coef_u = t.dram_bw * share[:, pair_u, pair_v]
-            link_coef_v = t.dram_bw * share[:, pair_v, pair_u]
-            # A thread on socket s loads pair (u, v) iff s is an
-            # endpoint and its share toward the far end is nonzero.
-            sock_range = np.arange(n_sockets)
-            link_mask = (
-                (sock_range[None, :, None] == pair_u[None, None, :])
-                & (link_coef_u > 0)[:, None, :]
-            ) | (
-                (sock_range[None, :, None] == pair_v[None, None, :])
-                & (link_coef_v > 0)[:, None, :]
-            )
-
-        # -- the fixed point, over the shrinking active set ----------------
-        alive = np.arange(pop)
-        iterations = np.zeros(pop, dtype=int)
-        converged = np.zeros(pop, dtype=bool)
-        final = np.zeros((pop, n_max))
-        final_f = np.zeros((pop, n_max))
-        settle_hist: List[Tuple[np.ndarray, np.ndarray]] = []
-        # Seed injection and Aitken jumps fire for all live rows at once,
-        # so one flag covers the population: while it is set, prev holds
-        # injected values and no row may retire against them (see the
-        # scalar path for why a synthetic prev can fake convergence).
-        synthetic_prev = False
-        f_init_a, n_a = f_init, n_arr
-        valid_a, shared_a = valid, shared
-        core_slot_a, sock_slot_a = core_slot, sock_slot
-        core_coef_a, lock_a, has_comm_a = core_coef, lock, has_comm
-        share_a = share
-        if has_dram:
-            dram_mask_a = dram_mask
-            if pairs:
-                link_coef_u_a, link_coef_v_a = link_coef_u, link_coef_v
-                link_mask_a = link_mask
-        f = np.where(valid, f_init[:, None], 0.0)
-        flat_core, flat_sock = flat_core0, flat_sock0
-        rows_flat = rows_flat0
-        prev: Optional[np.ndarray] = None
-        cap_vec: Optional[np.ndarray] = None
-        overall = f  # placeholder; overwritten before use
-
-        # Telemetry: one hoisted branch; when disabled the loop body
-        # pays a single `if obs_on` check per iteration and no per-row
-        # work, keeping the kernel within noise of the uninstrumented
-        # build (tests/obs/test_overhead.py).
+        # Telemetry: one hoisted branch; when disabled the loop pays a
+        # single `if obs_on` per iteration and no per-row work.
         obs_on = obs.enabled()
         if obs_on:
             _tracer = obs.tracer()
@@ -1225,12 +1106,14 @@ class PandiaPredictor:
             _m.counter("predictor.batch.chunks").inc()
             if seed is not None:
                 _m.counter("predictor.warm.predictions").inc(pop)
-            chunk_span = _tracer.start(
-                "predictor.predict_batch",
+            call_span = _tracer.start(
+                span,
                 attrs={
-                    "workload": workload.name,
+                    "workload": "+".join(wd.name for wd, _ in rows[0]),
                     "machine": self.md.machine_name,
                     "population": pop,
+                    "jobs": len(p.n_job),
+                    "threads": T,
                     "seeded": seed is not None,
                 },
             )
@@ -1254,8 +1137,26 @@ class PandiaPredictor:
                 it_span.attrs["compacted"] = retired
                 _tracer.end(it_span)
 
+        # -- the fixed point, over the shrinking active set ------------
+        alive = np.arange(pop)
+        iterations = np.zeros(pop, dtype=np.intp)
+        converged = np.zeros(pop, dtype=bool)
+        final = np.zeros((pop, T))
+        final_f = np.zeros((pop, T))
+        trace: List[IterationTrace] = []
+        settle_hist: List[Tuple[np.ndarray, np.ndarray]] = []
+        # Seed injection and Aitken jumps fire for all live rows at once,
+        # so one flag covers the population: while it is set, prev holds
+        # injected values and no row may retire against them — an
+        # injected overall can coincide with overall(f), both pinned at
+        # the cap, without (f, overall) being a fixed point.
+        synthetic_prev = False
+        f = np.where(a.valid, a.f_init_t, 0.0)
+        prev: Optional[np.ndarray] = None
+        cap: Optional[np.ndarray] = None
+        sj, sc, ss = p.seg_job.ravel(), p.seg_core.ravel(), p.seg_sock.ravel()
+
         for iteration in range(1, self.max_iterations + 1):
-            iterations[alive] = iteration
             cur = alive.size
             if obs_on:
                 it_span = _tracer.start(
@@ -1264,109 +1165,116 @@ class PandiaPredictor:
                 )
                 delta_max, retired = math.inf, 0
 
-            # Step 1: resource contention + burstiness.  Padded threads
-            # carry f = 0, so they contribute nothing to any sum.
-            fs_core = np.bincount(
-                flat_core, weights=f.ravel(), minlength=cur * c_max
-            ).reshape(cur, c_max)
-            fs_sock = np.bincount(
-                flat_sock, weights=f.ravel(), minlength=cur * n_sockets
-            ).reshape(cur, n_sockets)
-            worst = (core_coef_a * fs_core).ravel()[flat_core].reshape(cur, n_max)
-            sock_stat = None
-            if agg_coef is not None:
-                sock_stat = agg_coef * fs_sock
-            if has_dram:
-                dram_load = t.dram_bw * (fs_sock[:, :, None] * share_a).sum(axis=1)
-                dram_worst = np.where(
-                    dram_mask_a, (dram_load / t.dram_cap)[:, None, :], 0.0
-                ).max(axis=2)
-                sock_stat = (
-                    dram_worst
-                    if sock_stat is None
-                    else np.maximum(sock_stat, dram_worst)
-                )
-                if pairs:
-                    link_ratio = (
-                        link_coef_u_a * fs_sock[:, pair_u]
-                        + link_coef_v_a * fs_sock[:, pair_v]
-                    ) / t.interconnect_cap
-                    link_worst = np.where(
-                        link_mask_a, link_ratio[:, None, :], 0.0
-                    ).max(axis=2)
-                    sock_stat = np.maximum(sock_stat, link_worst)
-            if sock_stat is not None:
-                worst = np.maximum(
-                    worst, sock_stat.ravel()[flat_sock].reshape(cur, n_max)
-                )
-            if t.has_io:
-                f_total = np.bincount(rows_flat, weights=f.ravel(), minlength=cur)
-                worst = np.maximum(worst, (t.io_bw * f_total / t.nic_cap)[:, None])
-            base = np.maximum(worst, 1.0)
-            resource = np.where(shared_a, base * (1.0 + b * f), base)
-            f_cur = f_init_a[:, None] / resource
-
-            # Step 2: inter-socket communication.
-            if os_ > 0 and has_comm_a.any():
-                work = np.where(valid_a, 1.0 / resource, 0.0)
-                work_total = np.bincount(
-                    rows_flat, weights=work.ravel(), minlength=cur
-                )
-                weights = work / work_total[:, None]
-                w_total = np.bincount(
-                    rows_flat, weights=weights.ravel(), minlength=cur
-                )
-                w_sock = np.bincount(
-                    flat_sock, weights=weights.ravel(), minlength=cur * n_sockets
-                ).reshape(cur, n_sockets)
-                remote_w = w_total[:, None] - w_sock.ravel()[flat_sock].reshape(
-                    cur, n_max
-                )
-                independent = n_a[:, None] * os_ * remote_w
-                comm = (l * independent + (1.0 - l) * lock_a) * f_cur
-                overall = np.where(has_comm_a[:, None], resource + comm, resource)
+            # Step 1: resource contention (Section 5.1).  Padded threads
+            # carry f = 0, so they add nothing to any sum.
+            fw = f.ravel()
+            fs_core = np.bincount(sc, fw, minlength=cur * J * NC).reshape(cur, J, NC)
+            fs_sock = np.bincount(ss, fw, minlength=cur * J * S).reshape(cur, J, S)
+            if J == 1:
+                core_stat = a.core_fold * fs_core
+                sock_stat = a.agg_fold * fs_sock
             else:
-                overall = resource
+                ratio = _job_sum(a.core_coef * fs_core[:, :, None, :])[:, None]
+                core_stat = _max_along(np.where(a.core_used, ratio, 0.0), axis=2)
+                ratio = _job_sum(a.agg_coef * fs_sock[:, :, None, :])[:, None]
+                sock_stat = _max_along(
+                    np.where(a.agg_used, ratio, 0.0), axis=2, initial=0.0
+                )
+            if p.has_dram:
+                load = _memory_loads(fs_sock, a.mem_share, a.mem_scale)
+                ratio = (load / m.mem_caps)[:, None, None, :]
+                sock_stat = np.maximum(
+                    sock_stat, _max_along(np.where(a.mem_uses, ratio, 0.0), axis=3)
+                )
+            worst = np.maximum(
+                core_stat.ravel()[sc].reshape(cur, T),
+                sock_stat.ravel()[ss].reshape(cur, T),
+            )
+            if has_io:
+                f_job = np.bincount(sj, fw, minlength=cur * J).reshape(cur, J)
+                nic = _job_sum(a.io * f_job) / self.md.nic_bw
+                worst = np.maximum(worst, np.where(a.io_t, nic[:, None], 0.0))
+            base = np.maximum(worst, 1.0)
+            resource = (
+                np.where(a.shared, base * (1.0 + a.b_t * f), base) if bursty else base
+            )
+            f_cur = a.f_init_t / resource
 
-            # Step 3: load balancing, then the first-iteration cap.
-            peak = np.where(valid_a, overall, -np.inf).max(axis=1)
-            overall = l * overall + (1.0 - l) * peak[:, None]
-            if cap_vec is None:
-                cap_vec = np.where(valid_a, overall, -np.inf).max(axis=1)
+            # Step 2: off-socket communication among each job's own
+            # threads (Section 5.2).
+            comm = None
+            overall = resource
+            if comm_on:
+                work = np.where(a.valid, 1.0 / resource, 0.0)
+                work_total = np.bincount(sj, work.ravel(), minlength=cur * J)
+                weights = work / work_total[sj].reshape(cur, T)
+                w_total = np.bincount(sj, weights.ravel(), minlength=cur * J)
+                w_sock = np.bincount(ss, weights.ravel(), minlength=cur * J * S)
+                remote_w = (w_total[sj] - w_sock[ss]).reshape(cur, T)
+                independent = a.n_os_t * remote_w
+                comm = (a.l_t * independent + a.rest_t * a.lock_t) * f_cur
+                overall = np.where(a.comm_t, resource + comm, resource)
+
+            # Step 3: each job's threads are dragged toward its slowest
+            # (Section 5.3), then the first-iteration cap (Section 5.4).
+            peak = _max_along(
+                np.where(a.job_mask, overall[:, None, :], -np.inf), axis=2
+            )
+            if J > 1:
+                peak = peak.ravel()[sj].reshape(cur, T)
+            balanced = a.l_t * overall + a.rest_t * peak
+            balance = balanced - overall if keep_trace else None
+            overall = balanced
+            if cap is None:
+                cap = _max_along(np.where(a.valid, overall, -np.inf), axis=1)
                 if warm is not None:
-                    # Warm start: same cold-cap protocol as the scalar
-                    # path — the uniform first iteration fixes the
-                    # Section-5.4 cap, then every row jumps to its
-                    # mapped seed state.  No row can have retired yet,
-                    # so the full-population warm arrays line up.
+                    # Warm start: the uniform first iteration fixed the
+                    # cold cap; every row now jumps to its mapped seed
+                    # state.  No row can have retired yet.
+                    overall = np.clip(overall, 1.0, cap[:, None])
+                    if keep_trace:
+                        trace.append(
+                            _trace_row(
+                                iteration, math.inf, resource, comm, balance,
+                                overall, f, a.f_init_t,
+                            )
+                        )
                     prev = np.where(
-                        valid_a,
-                        np.clip(warm[1], 1.0, cap_vec[:, None]),
-                        np.clip(overall, 1.0, cap_vec[:, None]),
+                        a.valid, np.clip(warm[1], 1.0, cap[:, None]), overall
                     )
-                    overall = prev
                     f = np.where(
-                        valid_a,
-                        f_init_a[:, None] * np.clip(warm[0], 0.0, 1.0),
-                        0.0,
+                        a.valid, a.f_init_t * np.clip(warm[0], 0.0, 1.0), 0.0
                     )
                     synthetic_prev = True
                     if obs_on:
                         _end_iteration(it_span, iteration, cur, math.inf, 0)
                     continue
-            overall = np.clip(overall, 1.0, cap_vec[:, None])
+            overall = np.minimum(np.maximum(overall, 1.0), cap[:, None])
 
+            delta = None
             if prev is not None:
-                delta = np.where(valid_a, np.abs(overall - prev), 0.0).max(axis=1)
+                delta = _max_along(
+                    np.where(a.valid, np.abs(overall - prev), 0.0), axis=1
+                )
+            if keep_trace:
+                residual = math.inf if delta is None else float(delta[0])
+                trace.append(
+                    _trace_row(
+                        iteration, residual, resource, comm, balance, overall, f,
+                        a.f_init_t,
+                    )
+                )
+            if delta is not None:
                 if obs_on:
                     delta_max = float(delta.max())
                 done = delta < self.tolerance
                 if synthetic_prev:
                     done[:] = False
-                if done.any():
+                if np.count_nonzero(done):
                     if obs_on:
                         retired = int(np.count_nonzero(done))
                     finished = alive[done]
+                    iterations[finished] = iteration
                     converged[finished] = True
                     final[finished] = overall[done]
                     final_f[finished] = f[done]
@@ -1374,54 +1282,48 @@ class PandiaPredictor:
                     alive = alive[keep]
                     if not alive.size:
                         if obs_on:
-                            _end_iteration(it_span, iteration, cur, delta_max, retired)
+                            _end_iteration(
+                                it_span, iteration, cur, delta_max, retired
+                            )
                         break
-                    valid_a, shared_a = valid_a[keep], shared_a[keep]
-                    core_slot_a, sock_slot_a = core_slot_a[keep], sock_slot_a[keep]
-                    core_coef_a, lock_a = core_coef_a[keep], lock_a[keep]
-                    has_comm_a, cap_vec = has_comm_a[keep], cap_vec[keep]
-                    f_init_a, n_a = f_init_a[keep], n_a[keep]
-                    share_a = share_a[keep]
-                    if has_dram:
-                        dram_mask_a = dram_mask_a[keep]
-                        if pairs:
-                            link_coef_u_a = link_coef_u_a[keep]
-                            link_coef_v_a = link_coef_v_a[keep]
-                            link_mask_a = link_mask_a[keep]
-                    resource, overall, f = resource[keep], overall[keep], f[keep]
-                    settle_hist = [
-                        (hf[keep], ho[keep]) for hf, ho in settle_hist
-                    ]
-                    live_row = np.arange(alive.size)[:, None]
-                    flat_core = (live_row * c_max + core_slot_a).ravel()
-                    flat_sock = (live_row * n_sockets + sock_slot_a).ravel()
-                    rows_flat = np.repeat(np.arange(alive.size), n_max)
+                    a = a.take(keep)
+                    comm_on = comm_on and bool(np.count_nonzero(a.comm_t))
+                    resource, overall, f, cap = (
+                        resource[keep], overall[keep], f[keep], cap[keep]
+                    )
+                    settle_hist = [(hf[keep], ho[keep]) for hf, ho in settle_hist]
+                    seg = np.arange(alive.size)[:, None] * J + a.job_of
+                    sj = seg.ravel()
+                    sc = (seg * NC + a.core_ids).ravel()
+                    ss = (seg * S + a.sock_ids).ravel()
             prev = overall
             synthetic_prev = False
 
-            f_next = f_init_a[:, None] * np.minimum(resource / overall, 1.0)
+            # Feed the penalty ratio into the next iteration's starting
+            # utilisation (Section 5.4), damped after DAMPEN_AFTER.
+            f_next = a.f_init_t * np.minimum(resource / overall, 1.0)
             if iteration > DAMPEN_AFTER:
                 f_next = 0.5 * (f + f_next)
-            f = np.where(valid_a, f_next, 0.0)
+            f = np.where(a.valid, f_next, 0.0)
             if warm is not None:
-                # Aitken-accelerated settle, mirroring the scalar path;
-                # retired rows were dropped from the history above, so
-                # the three snapshots always share the live-row shape.
+                # Warm settle is Aitken-accelerated: near the attractor
+                # the contraction is geometric, so every AITKEN_CYCLE
+                # iterates a delta-squared jump extrapolates both
+                # trajectories to their limit.  Clipping keeps the jump
+                # inside the iteration's invariants; a bad jump corrects
+                # itself because the plain iteration resumes from it.
                 settle_hist.append((f, overall))
                 if len(settle_hist) == AITKEN_CYCLE:
                     f_jump, o_jump = _aitken_jump(settle_hist)
-                    f = np.where(
-                        valid_a,
-                        np.clip(f_jump, 0.0, f_init_a[:, None]),
-                        0.0,
-                    )
-                    prev = np.clip(o_jump, 1.0, cap_vec[:, None])
+                    f = np.where(a.valid, np.clip(f_jump, 0.0, a.f_init_t), 0.0)
+                    prev = np.clip(o_jump, 1.0, cap[:, None])
                     synthetic_prev = True
                     settle_hist = []
             if obs_on:
                 _end_iteration(it_span, iteration, cur, delta_max, retired)
 
         if alive.size:  # stragglers that hit max_iterations
+            iterations[alive] = self.max_iterations
             final[alive] = overall
             final_f[alive] = f
 
@@ -1429,97 +1331,8 @@ class PandiaPredictor:
             _m.histogram("predictor.iterations").observe_many(
                 int(v) for v in iterations
             )
-            chunk_span.attrs["iterations_max"] = int(iterations.max())
-            chunk_span.attrs["converged_rows"] = int(np.count_nonzero(converged))
-            chunk_span.attrs["convergence"] = [r.to_dict() for r in convergence]
-            _tracer.end(chunk_span)
-
-        # -- converged utilisations and resource loads, whole chunk --------
-        futil = np.where(valid, f_init[:, None] / np.where(valid, final, 1.0), 0.0)
-        fs_core_fin = np.bincount(
-            flat_core0, weights=futil.ravel(), minlength=pop * c_max
-        ).reshape(pop, c_max)
-        fs_sock_fin = np.bincount(
-            flat_sock0, weights=futil.ravel(), minlength=pop * n_sockets
-        ).reshape(pop, n_sockets)
-        n_levels = len(t.levels)
-        caps_cm = np.empty((pop, c_max, 1 + n_levels))
-        caps_cm[:, :, 0] = core_cap
-        loads_cm = np.empty((pop, c_max, 1 + n_levels))
-        loads_cm[:, :, 0] = t.inst_rate * fs_core_fin
-        for i, (_lv, bw, link_cap, _agg) in enumerate(t.levels):
-            caps_cm[:, :, 1 + i] = link_cap
-            loads_cm[:, :, 1 + i] = bw * fs_core_fin
-        n_sclass = len(t.sock_caps)
-        if n_sclass:
-            loads_sm = np.empty((pop, n_sockets, n_sclass))
-            for j, i in enumerate(t.agg_levels):
-                loads_sm[:, :, j] = t.levels[i][1] * fs_sock_fin
-        if has_dram:
-            dram_loads = t.dram_bw * (fs_sock_fin[:, :, None] * share).sum(axis=1)
-            loads_sm[:, :, n_sclass - 1] = dram_loads
-            if pairs:
-                pair_loads = (
-                    link_coef_u * fs_sock_fin[:, pair_u]
-                    + link_coef_v * fs_sock_fin[:, pair_v]
-                )
-                pair_active = active_mask[:, pair_u] & active_mask[:, pair_v]
-        if t.has_io:
-            nic_loads = t.io_bw * np.bincount(
-                rows_flat0, weights=futil.ravel(), minlength=pop
-            )
-        occ_cols = np.split(cols_occ, np.cumsum(c_count)[:-1])
-        inv = np.where(valid, 1.0 / np.where(valid, final, 1.0), 0.0)
-        inv_total = np.bincount(rows_flat0, weights=inv.ravel(), minlength=pop)
-        speedup_arr = amdahl_arr * (inv_total / n_arr)
-        time_arr = workload.t1 / speedup_arr
-        core_bundles, sock_bundles = t.core_bundles, t.sock_bundles
-        sock_caps_list = list(t.sock_caps)
-
-        results: List[Prediction] = []
-        for k, placement in enumerate(placements):
-            n = int(n_arr[k])
-            ck = int(c_count[k])
-            act = active_tuples[k]
-            occ = occ_cols[k].tolist()
-            keys: List[ResourceKey] = list(
-                chain.from_iterable(map(core_bundles.__getitem__, occ))
-            )
-            caps_list: List[float] = caps_cm[k, :ck].ravel().tolist()
-            loads_list: List[float] = loads_cm[k, :ck].ravel().tolist()
-            if n_sclass:
-                keys += chain.from_iterable(map(sock_bundles.__getitem__, act))
-                caps_list += sock_caps_list * len(act)
-                loads_list += loads_sm[k, act, :].ravel().tolist()
-            if has_dram:
-                if len(act) > 1:
-                    sel = [j for j in range(len(pairs)) if pair_active[k, j]]
-                    keys += [t.key_pair[pairs[j]] for j in sel]
-                    caps_list += [t.interconnect_cap] * len(sel)
-                    loads_list += pair_loads[k].take(sel).tolist()
-            if t.has_io:
-                keys.append(("nic", 0))
-                caps_list.append(t.nic_cap)
-                loads_list.append(float(nic_loads[k]))
-
-            results.append(
-                Prediction(
-                    workload_name=workload.name,
-                    machine_name=self.md.machine_name,
-                    placement=placement,
-                    amdahl=float(amdahl_arr[k]),
-                    speedup=float(speedup_arr[k]),
-                    predicted_time_s=float(time_arr[k]),
-                    slowdowns=tuple(final[k, :n].tolist()),
-                    utilisations=tuple(futil[k, :n].tolist()),
-                    iterations=int(iterations[k]),
-                    converged=bool(converged[k]),
-                    trace=[],
-                    resource_loads=dict(zip(keys, loads_list)),
-                    resource_capacities=dict(zip(keys, caps_list)),
-                    final_f_norm=tuple(
-                        (final_f[k, :n] / f_init[k]).tolist()
-                    ),
-                )
-            )
-        return results
+            call_span.attrs["iterations_max"] = int(iterations.max())
+            call_span.attrs["converged_rows"] = int(np.count_nonzero(converged))
+            call_span.attrs["convergence"] = [r.to_dict() for r in convergence]
+            _tracer.end(call_span)
+        return p.predictions(final, final_f, iterations, converged, trace)

@@ -38,7 +38,7 @@ from repro.core.amdahl import (
 from repro.core.description import DemandVector, RunRecord, WorkloadDescription
 from repro.core.machine_desc import MachineDescription
 from repro.core.placement import Placement
-from repro.core.predictor import PandiaPredictor, _ThreadDemands
+from repro.core.predictor import PandiaPredictor
 from repro.errors import ProfilingError
 from repro.hardware.spec import MachineSpec
 from repro.numa import local_fraction_from_remote
@@ -59,15 +59,21 @@ def max_oversubscription(
     Used to pick Run 2's thread count: the largest even count that keeps
     this at or below 1 (Section 4.2's condition (iii)).
     """
+    return _max_oversubscription(PandiaPredictor(md), demands, placement)
+
+
+def _max_oversubscription(
+    predictor: PandiaPredictor, demands: DemandVector, placement: Placement
+) -> float:
     probe = WorkloadDescription(
         name="probe",
-        machine_name=md.machine_name,
+        machine_name=predictor.md.machine_name,
         t1=1.0,
         demands=demands,
         parallel_fraction=1.0,
     )
-    rows = _ThreadDemands(md, probe, placement)
-    return max(rows.resource_slowdowns([1.0] * placement.n_threads))
+    ratios = predictor.full_load_ratios(probe, placement)
+    return max(1.0, *ratios.values())
 
 
 @dataclass
@@ -298,7 +304,7 @@ class WorkloadDescriptionGenerator:
         max_even = topo.cores_per_socket - (topo.cores_per_socket % 2)
         for n in range(max_even, 1, -2):
             placement = Placement(topo, self.osi.one_thread_per_core(n, sockets=[0]))
-            if max_oversubscription(self.machine_description, demands, placement) <= 1.0:
+            if _max_oversubscription(self.predictor, demands, placement) <= 1.0:
                 best = n
                 break
         return best

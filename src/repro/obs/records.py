@@ -1,11 +1,12 @@
 """Shared telemetry record types.
 
 :class:`ConvergenceRecord` is the one-iteration unit of fixed-point
-telemetry used by *every* iterative solver in the repo — the scalar
-predictor (`PandiaPredictor.predict`, whose ``keep_trace`` rows are now
-these records), the batch kernel (population-level records attached to
-its span) and, where useful, the simulator's outer loop.  Keeping one
-shape makes scalar and batch traces directly comparable: both expose
+telemetry used by *every* iterative solver in the repo — the
+predictor's fixed-point kernel (a traced ``predict`` call's
+``keep_trace`` rows are these records, and every kernel call attaches
+population-level records to its span) and, where useful, the
+simulator's outer loop.  Keeping one shape makes a traced prediction's
+rows and population records directly comparable: both expose
 ``iteration``, ``max_residual``, ``alive`` and ``compacted``; solver-
 specific per-thread vectors ride in ``vectors``.
 """
@@ -24,7 +25,7 @@ class ConvergenceRecord:
     ``max_residual`` is the iteration's convergence residual (``max
     |Δslowdown|`` for the predictor); the first iteration, having no
     predecessor, records ``inf``.  ``alive`` counts the rows still
-    iterating (1 for a scalar solve), ``compacted`` the rows retired
+    iterating (1 for a one-row solve), ``compacted`` the rows retired
     *by* this iteration (batch active-set compaction).
     """
 
@@ -32,7 +33,7 @@ class ConvergenceRecord:
     max_residual: float = math.inf
     alive: int = 1
     compacted: int = 0
-    #: Named per-thread value vectors (e.g. the scalar predictor's
+    #: Named per-thread value vectors (e.g. a traced prediction's
     #: ``overall_slowdown``); empty for population-level records.
     vectors: Dict[str, Tuple[float, ...]] = field(default_factory=dict)
 

@@ -182,7 +182,10 @@ class RackScheduler:
         a cap, letting it grow into space the fair shares left over.
         """
         if not workloads:
-            raise ReproError("no workloads to schedule")
+            raise ReproError(
+                "no workloads to schedule on rack machines "
+                + ", ".join(m.name for m in self.rack.machines)
+            )
         names = [w.name for w in workloads]
         if len(set(names)) != len(names):
             raise ReproError(f"duplicate workload names: {names}")
@@ -287,7 +290,8 @@ class RackScheduler:
 
         Enumerates the thread-count ladder on every machine's free
         contexts and scores each candidate by re-predicting that
-        machine's co-schedule with the candidate added.  Selection is
+        machine's co-schedule with the candidate added — the whole
+        ladder of one machine in one kernel call.  Selection is
         two-phase: find the minimum predicted fleet makespan, then —
         among candidates within ``MAKESPAN_SLACK`` (0.1%) of it — pick
         the one minimising the workload's own predicted time, then
@@ -308,12 +312,16 @@ class RackScheduler:
             if free < 1:
                 continue
             resident = fleet.co_scheduled(machine.name)
+            ladder: List[Tuple[int, Placement]] = []
             for n in candidate_thread_counts(free):
                 placement = free_context_placement(machine, occupied, n)
-                if placement is None:
-                    continue
-                jobs = resident + [CoScheduledWorkload(workload, placement)]
-                joint = self._joint_predict(machine.name, jobs)
+                if placement is not None:
+                    ladder.append((n, placement))
+            joints = self._joint_predict_batch(
+                machine.name,
+                [resident + [CoScheduledWorkload(workload, p)] for _, p in ladder],
+            )
+            for (n, placement), joint in zip(ladder, joints):
                 predictions = {
                     o.workload_name: self._remaining_in(
                         fleet, o.workload_name, o.predicted_time_s
@@ -421,16 +429,49 @@ class RackScheduler:
         self, machine_name: str, jobs: Sequence[CoScheduledWorkload]
     ) -> CoSchedulePrediction:
         """One machine's joint prediction, through the store when set.
+        Without a store this is exactly ``CoSchedulePredictor.predict``."""
+        if self.store is None:
+            return self._joint[machine_name].predict(jobs)
+        m_digest, key, entries = record = self._joint_record(machine_name, jobs)
+        prediction = self._stored_joint(record, jobs)
+        if prediction is None:
+            prediction = self._joint[machine_name].predict(jobs)
+            self.store.put_joint(m_digest, key, prediction, entries)
+        return prediction
+
+    def _joint_predict_batch(
+        self,
+        machine_name: str,
+        schedules: Sequence[Sequence[CoScheduledWorkload]],
+    ) -> List[CoSchedulePrediction]:
+        """Joint predictions of many co-schedules on one machine: store
+        lookups per schedule, then one kernel call for the misses."""
+        predictor = self._joint[machine_name]
+        if self.store is None:
+            return predictor.predict_batch(schedules)
+        records = [self._joint_record(machine_name, jobs) for jobs in schedules]
+        out = [
+            self._stored_joint(record, jobs)
+            for record, jobs in zip(records, schedules)
+        ]
+        misses = [i for i, prediction in enumerate(out) if prediction is None]
+        fresh = predictor.predict_batch([schedules[i] for i in misses])
+        for i, prediction in zip(misses, fresh):
+            m_digest, key, entries = records[i]
+            self.store.put_joint(m_digest, key, prediction, entries)
+            out[i] = prediction
+        return out
+
+    def _joint_record(
+        self, machine_name: str, jobs: Sequence[CoScheduledWorkload]
+    ) -> Tuple[str, Tuple, List[int]]:
+        """``(machine digest, record key, job order)`` of a co-schedule.
 
         Records are keyed name-free — each job contributes its
         fingerprint digest (name stripped, so arrival-stream clones of
         one profiled description share records) plus its concrete
-        thread ids — and outcomes are re-labelled with the requesting
-        jobs' names on a hit.  Without a store this is exactly
-        ``CoSchedulePredictor.predict``.
+        thread ids, in a canonical job order.
         """
-        if self.store is None:
-            return self._joint[machine_name].predict(jobs)
         m_digest = self._machine_digests.get(machine_name)
         if m_digest is None:
             m_digest = self._machine_digests[machine_name] = machine_digest(
@@ -453,28 +494,36 @@ class RackScheduler:
             (w_digests[i], tuple(jobs[i].placement.hw_thread_ids))
             for i in entries
         )
+        return m_digest, key, entries
+
+    def _stored_joint(
+        self,
+        record: Tuple[str, Tuple, List[int]],
+        jobs: Sequence[CoScheduledWorkload],
+    ) -> Optional[CoSchedulePrediction]:
+        """The stored prediction for *record*, its outcomes re-labelled
+        with the requesting jobs' names, or ``None`` on a miss."""
+        m_digest, key, entries = record
         stored = self.store.get_joint(m_digest, key)
-        if stored is not None:
-            outcomes: List[Optional[WorkloadOutcome]] = [None] * len(jobs)
-            for pos, i in enumerate(entries):
-                o = stored.outcomes[pos]
-                outcomes[i] = WorkloadOutcome(
-                    workload_name=jobs[i].description.name,
-                    amdahl=o.amdahl,
-                    speedup=o.speedup,
-                    predicted_time_s=o.predicted_time_s,
-                    slowdowns=o.slowdowns,
-                )
-            return CoSchedulePrediction(
-                outcomes=outcomes,
-                iterations=stored.iterations,
-                converged=stored.converged,
-                resource_loads=stored.resource_loads,
-                resource_capacities=stored.resource_capacities,
+        if stored is None:
+            return None
+        outcomes: List[Optional[WorkloadOutcome]] = [None] * len(jobs)
+        for pos, i in enumerate(entries):
+            o = stored.outcomes[pos]
+            outcomes[i] = WorkloadOutcome(
+                workload_name=jobs[i].description.name,
+                amdahl=o.amdahl,
+                speedup=o.speedup,
+                predicted_time_s=o.predicted_time_s,
+                slowdowns=o.slowdowns,
             )
-        prediction = self._joint[machine_name].predict(jobs)
-        self.store.put_joint(m_digest, key, prediction, entries)
-        return prediction
+        return CoSchedulePrediction(
+            outcomes=outcomes,
+            iterations=stored.iterations,
+            converged=stored.converged,
+            resource_loads=stored.resource_loads,
+            resource_capacities=stored.resource_capacities,
+        )
 
     def _replace(
         self,

@@ -88,7 +88,7 @@ def _chunk_predictions(
     Duck-typed so the engine still accepts any object with a scalar
     ``predict``; the real :class:`PandiaPredictor` exposes
     ``predict_batch``, which runs the whole chunk as one vectorised
-    fixed point and matches the scalar path to 1e-12.  *seed*
+    fixed point, bit-identical to ``predict`` on each placement.  *seed*
     warm-starts the whole chunk; it is only forwarded when set, so
     duck-typed predictors without the parameter keep working cold.
     """

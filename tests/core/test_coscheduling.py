@@ -132,6 +132,10 @@ class TestValidation:
         with pytest.raises(PredictionError):
             co_predictor.predict([])
 
+    def test_empty_jobs_error_names_the_machine(self, co_predictor):
+        with pytest.raises(PredictionError, match="FIG3"):
+            co_predictor.predict([])
+
     def test_unknown_workload_outcome_rejected(self, topo, co_predictor):
         joint = co_predictor.predict(
             [CoScheduledWorkload(make_workload("a"), Placement(topo, (0,)))]

@@ -147,6 +147,10 @@ class TestIterationMechanics:
         with pytest.raises(PredictionError):
             PandiaPredictor(fig3_description, max_iterations=0)
 
+    def test_zero_iterations_error_names_the_machine(self, fig3_description):
+        with pytest.raises(PredictionError, match="FIG3"):
+            PandiaPredictor(fig3_description, max_iterations=0)
+
     def test_prediction_is_deterministic(self, predictor, example_workload, fig3_description):
         pl = Placement(fig3_description.topology, (0, 4, 2))
         a = predictor.predict(example_workload, pl)

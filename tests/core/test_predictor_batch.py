@@ -1,11 +1,12 @@
-"""The batched prediction kernel against the scalar golden reference.
+"""The batched prediction kernel against the golden oracle.
 
 ``predict_batch`` stacks a whole placement population into padded
-arrays and runs the fixed point as masked NumPy operations; the scalar
-``predict`` loop stays the golden reference it must match to 1e-12.
-These tests drive the kernel over arbitrary mixed-thread-count
-populations (hypothesis), the non-convergence path, degenerate inputs,
-the demand-template cache, and the zero-capacity guard.
+arrays and runs the fixed point as masked NumPy operations; the plain
+Python oracle in ``tests/reference_kernel.py`` is the golden reference
+it must match to 1e-12.  These tests drive the kernel over arbitrary
+mixed-thread-count populations (hypothesis), the non-convergence path,
+degenerate inputs, the demand-template cache, and the zero-capacity
+guard.
 """
 
 import pytest
@@ -13,14 +14,15 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.description import DemandVector, WorkloadDescription
 from repro.core.machine_desc import MachineDescription
-from repro.core.placement import Placement, enumerate_canonical
-from repro.core.predictor import PandiaPredictor, Prediction, _ThreadDemands
+from repro.core.placement import enumerate_canonical
+from repro.core.predictor import PandiaPredictor, Prediction
 from repro.errors import PredictionError
 from repro.hardware.topology import MachineTopology
 
+from tests.reference_kernel import assert_matches_reference, reference_predict
+
 TOPO = MachineTopology(2, 2, 2)
 ALL_PLACEMENTS = enumerate_canonical(TOPO)
-TOLERANCE = 1e-12
 
 
 def make_md():
@@ -64,21 +66,14 @@ populations = st.lists(
 )
 
 
-def assert_prediction_close(ours: Prediction, ref: Prediction, ctx: str) -> None:
-    assert ours.iterations == ref.iterations, ctx
-    assert ours.converged is ref.converged, ctx
-    assert abs(ours.predicted_time_s - ref.predicted_time_s) <= TOLERANCE, ctx
-    assert abs(ours.speedup - ref.speedup) <= TOLERANCE, ctx
-    assert abs(ours.amdahl - ref.amdahl) <= TOLERANCE, ctx
-    assert len(ours.slowdowns) == len(ref.slowdowns), ctx
-    for a, b in zip(ours.slowdowns, ref.slowdowns):
-        assert abs(a - b) <= TOLERANCE, ctx
-    for a, b in zip(ours.utilisations, ref.utilisations):
-        assert abs(a - b) <= TOLERANCE, ctx
-    assert ours.resource_capacities == ref.resource_capacities, ctx
-    assert ours.resource_loads.keys() == ref.resource_loads.keys(), ctx
-    for key, load in ref.resource_loads.items():
-        assert abs(ours.resource_loads[key] - load) <= 1e-9, (ctx, key)
+def reference(predictor, workload, placement):
+    return reference_predict(
+        predictor.md,
+        workload,
+        placement,
+        predictor.max_iterations,
+        predictor.tolerance,
+    )
 
 
 class TestBatchEqualsScalar:
@@ -90,8 +85,8 @@ class TestBatchEqualsScalar:
         batched = predictor.predict_batch(workload, placements)
         assert len(batched) == len(placements)
         for placement, ours in zip(placements, batched):
-            ref = predictor.predict(workload, placement)
-            assert_prediction_close(ours, ref, str(placement.hw_thread_ids))
+            ref = reference(predictor, workload, placement)
+            assert_matches_reference(ours, ref, str(placement.hw_thread_ids))
 
     @settings(max_examples=30, deadline=None)
     @given(workload=workloads, index=st.integers(0, len(ALL_PLACEMENTS) - 1))
@@ -99,8 +94,8 @@ class TestBatchEqualsScalar:
         predictor = PandiaPredictor(make_md())
         placement = ALL_PLACEMENTS[index]
         (ours,) = predictor.predict_batch(workload, [placement])
-        ref = predictor.predict(workload, placement)
-        assert_prediction_close(ours, ref, str(placement.hw_thread_ids))
+        ref = reference(predictor, workload, placement)
+        assert_matches_reference(ours, ref, str(placement.hw_thread_ids))
 
     def test_empty_population(self):
         predictor = PandiaPredictor(make_md())
@@ -118,9 +113,9 @@ class TestBatchEqualsScalar:
         batched = predictor.predict_batch(workload, placements)
         assert len(batched) == len(placements)
         # Duplicate placements must produce identical predictions.
-        ref = predictor.predict(workload, placements[0])
-        assert_prediction_close(batched[0], ref, "chunk head")
-        assert_prediction_close(
+        ref = reference(predictor, workload, placements[0])
+        assert_matches_reference(batched[0], ref, "chunk head")
+        assert_matches_reference(
             batched[len(ALL_PLACEMENTS)], ref, "same placement, later chunk"
         )
 
@@ -156,12 +151,12 @@ class TestNonConvergence:
         placements = [p for p in ALL_PLACEMENTS if p.n_threads >= 2][:6]
         batched = predictor.predict_batch(workload, placements)
         for placement, ours in zip(placements, batched):
-            ref = predictor.predict(workload, placement)
+            ref = reference(predictor, workload, placement)
             assert ref.converged is False
             assert ref.iterations == max_iterations
             assert ours.converged is False
             assert ours.iterations == max_iterations
-            assert_prediction_close(ours, ref, str(placement.hw_thread_ids))
+            assert_matches_reference(ours, ref, str(placement.hw_thread_ids))
 
     def test_mixed_convergence_population(self):
         """Rows that converge drop out while stragglers iterate on."""
@@ -174,8 +169,8 @@ class TestNonConvergence:
         iteration_counts = {b.iterations for b in batched}
         assert len(iteration_counts) > 1, "population should converge unevenly"
         for placement, ours in zip(placements, batched):
-            ref = predictor.predict(easy, placement)
-            assert_prediction_close(ours, ref, str(placement.hw_thread_ids))
+            ref = reference(predictor, easy, placement)
+            assert_matches_reference(ours, ref, str(placement.hw_thread_ids))
 
 
 class TestDemandTemplateCache:
@@ -192,14 +187,6 @@ class TestDemandTemplateCache:
         )
         predictor.predict(other, ALL_PLACEMENTS[0])
         assert len(predictor._templates) == 2, "new demands => new template"
-
-    def test_shared_core_mask_is_public(self):
-        md = make_md()
-        workload = _fixed_workload()
-        packed = Placement(TOPO, (0, 4))  # both SMT contexts of core 0
-        spread = Placement(TOPO, (0, 1))  # one context on each of two cores
-        assert _ThreadDemands(md, workload, packed).shared_core_mask.all()
-        assert not _ThreadDemands(md, workload, spread).shared_core_mask.any()
 
 
 class TestZeroCapacityGuard:

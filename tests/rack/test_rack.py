@@ -145,6 +145,36 @@ class TestScheduler:
         with pytest.raises(ReproError):
             RackScheduler(rack).schedule([])
 
+    def test_empty_batch_error_names_the_rack_machines(self, rack):
+        with pytest.raises(ReproError, match="node-0, node-1"):
+            RackScheduler(rack).schedule([])
+
+    def test_store_backed_candidates_reproduce_the_schedule(self, rack, tmp_path):
+        """Candidate ladders are looked up per schedule and only the
+        misses are batched; a second pass is all store hits and changes
+        nothing."""
+        from repro.io.prediction_store import PredictionStore
+
+        batch = [
+            make_description(f"w{i}", inst=2.0 + i, dram=3.0 * i) for i in range(4)
+        ]
+        plain = RackScheduler(rack).schedule(batch)
+        store = PredictionStore(tmp_path / "preds")
+        puts = []
+        put_joint = store.put_joint
+        store.put_joint = lambda *args: puts.append(args) or put_joint(*args)
+        stored_per_pass = []
+        for _ in range(2):
+            puts.clear()
+            stored = RackScheduler(rack, store=store).schedule(batch)
+            stored_per_pass.append(len(puts))
+            assert stored.predicted_times == plain.predicted_times
+            for a in plain.assignments:
+                b = stored.assignment_for(a.workload.name)
+                assert (b.machine_name, b.placement) == (a.machine_name, a.placement)
+        first, second = stored_per_pass
+        assert first > 0 and second == 0, stored_per_pass
+
     def test_overflow_detected(self, rack):
         """More workloads than hardware threads cannot all fit."""
         scheduler = RackScheduler(rack)

@@ -6,13 +6,14 @@ same predicted times (within 1e-12) as
 :func:`repro.core.optimizer.rank_placements_serial` — the pre-engine
 implementation kept verbatim as the reference.
 
-The engine's miss path now runs the batched kernel
-(:meth:`PandiaPredictor.predict_batch`), whose guarantee is numeric —
-everything within 1e-12 of the scalar path — rather than bit-exact.
-Distinct placements whose scalar predicted times coincide exactly may
-therefore swap rank order; the order checks here accept a swap only
-inside such a sub-tolerance tie.  ``TestBatchMatchesScalar`` checks
-the kernel itself field by field.
+The engine's miss path runs the batched kernel
+(:meth:`PandiaPredictor.predict_batch`), whose guarantee against the
+golden oracle (``tests/reference_kernel.py``) is numeric — everything
+within 1e-12 — rather than bit-exact.  Distinct placements whose
+predicted times coincide exactly may therefore swap rank order; the
+order checks here accept a swap only inside such a sub-tolerance tie.
+``TestBatchMatchesScalar`` checks the kernel against the oracle field
+by field.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ from repro.hardware import machines
 from repro.search import SearchEngine, canonical_key
 from repro.sim.noise import NO_NOISE
 from repro.workloads import catalog
+
+from tests.reference_kernel import assert_matches_reference, reference_predict
 
 MACHINES = machines.names()
 WORKLOADS = ("MD", "CG", "EP")
@@ -151,8 +154,8 @@ class TestProcessPoolEquivalence:
 @pytest.mark.parametrize("machine_name", MACHINES)
 @pytest.mark.parametrize("workload_name", WORKLOADS)
 class TestBatchMatchesScalar:
-    """The batched kernel against the scalar golden reference, field by
-    field, for every catalog machine and workload."""
+    """The batched kernel against the golden oracle, field by field,
+    for every catalog machine and workload."""
 
     def test_predict_batch_matches_predict(self, machine_name, workload_name):
         spec, predictor, descriptions = _setup(machine_name)
@@ -162,19 +165,6 @@ class TestBatchMatchesScalar:
         batched = predictor.predict_batch(workload, placements)
         assert len(batched) == len(placements)
         for placement, ours in zip(placements, batched):
-            ref = predictor.predict(workload, placement)
+            ref = reference_predict(predictor.md, workload, placement)
             ctx = f"{machine_name}/{workload_name}/{placement.sort_key()}"
-            assert ours.iterations == ref.iterations, ctx
-            assert ours.converged is ref.converged, ctx
-            assert abs(ours.predicted_time_s - ref.predicted_time_s) <= TOLERANCE, ctx
-            assert abs(ours.speedup - ref.speedup) <= TOLERANCE, ctx
-            assert abs(ours.amdahl - ref.amdahl) <= TOLERANCE, ctx
-            assert len(ours.slowdowns) == len(ref.slowdowns), ctx
-            for a, b in zip(ours.slowdowns, ref.slowdowns):
-                assert abs(a - b) <= TOLERANCE, ctx
-            for a, b in zip(ours.utilisations, ref.utilisations):
-                assert abs(a - b) <= TOLERANCE, ctx
-            assert ours.resource_capacities == ref.resource_capacities, ctx
-            assert ours.resource_loads.keys() == ref.resource_loads.keys(), ctx
-            for key, load in ref.resource_loads.items():
-                assert abs(ours.resource_loads[key] - load) <= 1e-9, (ctx, key)
+            assert_matches_reference(ours, ref, ctx)

@@ -193,6 +193,30 @@ class TestProfile:
         assert main(["profile", str(empty)]) == 1
         assert "no spans" in capsys.readouterr().out
 
+    def test_missing_span_log_is_a_one_line_error(self, capsys, tmp_path):
+        missing = tmp_path / "missing.jsonl"
+        assert main(["profile", str(missing)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {missing}: No such file or directory\n"
+
+    def test_svg_in_missing_directory_is_a_one_line_error(self, capsys, tmp_path):
+        from repro import obs
+        from repro.obs.export import write_spans_jsonl
+
+        spans = tmp_path / "spans.jsonl"
+        obs.enable()
+        try:
+            with obs.span("cli.test"):
+                pass
+            write_spans_jsonl(spans, obs.tracer().spans())
+        finally:
+            obs.disable()
+            obs.reset()
+        svg = tmp_path / "no-such-dir" / "flame.svg"
+        assert main(["profile", str(spans), "--svg", str(svg)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {svg}: No such file or directory\n"
+
 
 class TestDashboard:
     def test_dashboard_acceptance(self, capsys, tmp_path):

@@ -67,6 +67,8 @@ class TestObservabilityDocumented:
     SPANS = (
         "predictor.predict",
         "predictor.predict_batch",
+        "coscheduling.predict",
+        "coscheduling.predict_batch",
         "predictor.iteration",
         "search.evaluate",
         "search.cache",
