@@ -194,8 +194,8 @@ class SearchEngine:
     executor:
         ``"thread"`` (default) or ``"process"``.  Ignored when running
         serially.  If the pool cannot be created (restricted
-        environments), the engine silently falls back to serial —
-        results are identical either way.
+        environments), the engine falls back to serial and counts it
+        in ``stats.pool_fallbacks`` — results are identical either way.
     chunk_size:
         Number of placements per pool work unit.
     cache_size:
@@ -618,4 +618,5 @@ class SearchEngine:
             # duck-typed predictor without .md: fall back to serial.
             self._pool_broken = True
             self._pool = None
+            self.stats.inc("pool_fallbacks")
         return self._pool

@@ -42,6 +42,7 @@ _COUNTER_FIELDS = (
     "surrogate_scored",
     "surrogate_verified",
     "surrogate_fallbacks",
+    "pool_fallbacks",
 )
 #: Accumulated-seconds counters.
 _TIME_FIELDS = ("wall_time_s", "strategy_time_s")
@@ -139,6 +140,10 @@ class SearchStats:
     @property
     def surrogate_fallbacks(self) -> int:  # searches that fell back to exact
         return self._value("surrogate_fallbacks")
+
+    @property
+    def pool_fallbacks(self) -> int:  # pools that failed to start; ran serially
+        return self._value("pool_fallbacks")
 
     @property
     def surrogate_regret(self) -> Optional[float]:
@@ -239,6 +244,7 @@ class SearchStats:
                 + (f"{regret:.3%}" if regret is not None else "n/a"),
             ),
             ("rounds", str(self.rounds)),
+            ("pool fallbacks", str(self.pool_fallbacks)),
             (
                 "wall time",
                 f"{self.wall_time_s:.3f} s "

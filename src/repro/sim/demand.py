@@ -72,17 +72,22 @@ class ThreadInfo:
     io_traffic: float = 0.0
 
 
-def llc_spill_fraction(ws_bytes: float, capacity_bytes: float, adaptive: bool) -> float:
+def llc_spill_fraction(
+    ws_bytes: float, capacity_bytes: float, adaptive: bool, machine: str = "the machine"
+) -> float:
     """Fraction of LLC traffic that spills to DRAM for a socket.
 
     ``adaptive`` caches (paper Section 2.2) give a gradual fall-off:
     the overflowing fraction of the working set misses, i.e.
     ``1 - capacity/ws``.  Non-adaptive caches degrade much faster once
     the working set exceeds capacity (the pathological cliff the paper
-    says modern insertion policies removed).
+    says modern insertion policies removed).  *machine* names the
+    cache's machine in errors.
     """
     if capacity_bytes <= 0:
-        raise SimulationError("LLC capacity must be positive")
+        raise SimulationError(
+            f"LLC capacity of {machine} must be positive, got {capacity_bytes} bytes"
+        )
     if ws_bytes <= capacity_bytes:
         return 0.0
     overflow = ws_bytes / capacity_bytes - 1.0
@@ -226,7 +231,9 @@ class DemandModel:
             for tid in tids:
                 ws[topo.socket_of_thread(tid)] += share
         return {
-            s: llc_spill_fraction(total, llc.capacity_bytes, self.machine.adaptive_caches)
+            s: llc_spill_fraction(
+                total, llc.capacity_bytes, self.machine.adaptive_caches, self.machine.name
+            )
             for s, total in ws.items()
         }
 
@@ -243,19 +250,23 @@ class DemandModel:
         for j, (job, tids) in enumerate(zip(self.jobs, active_sets)):
             spec = job.spec
             sockets = [topo.socket_of_thread(t) for t in tids]
+            # A thread's DRAM shares depend only on its socket.
+            shares_by_socket: Dict[int, Dict[int, float]] = {}
             for i, tid in enumerate(tids):
                 hw = topo.hw_thread(tid)
                 freq = self.frequencies[hw.socket_id]
-                remote_peers = sum(
-                    1 for k, s in enumerate(sockets) if k != i and s != hw.socket_id
-                )
+                remote_peers = len(sockets) - sockets.count(hw.socket_id)
                 stretch = 1.0 + spec.comm_fraction * remote_peers
                 # Spilled LLC lines still traverse the L3 link (they are
                 # misses fetched through the cache); the spill only adds
                 # DRAM traffic.
                 phi = spill.get(hw.socket_id, 0.0)
                 dram_eff = spec.dram_bpi + spec.l3_bpi * phi
-                shares = memory_shares(spec, topo, job.hw_thread_ids, hw.socket_id)
+                shares = shares_by_socket.get(hw.socket_id)
+                if shares is None:
+                    shares = shares_by_socket[hw.socket_id] = memory_shares(
+                        spec, topo, job.hw_thread_ids, hw.socket_id
+                    )
                 dram_per_node = {n: dram_eff * sh for n, sh in shares.items()}
                 link_traffic: Dict[Tuple[int, int], float] = {}
                 for node, traffic in dram_per_node.items():
@@ -273,6 +284,13 @@ class DemandModel:
                 # (front-end arbitration), beyond the aggregate limit.
                 if core_occupancy[hw.core_id] > 1:
                     limit /= 1.0 + self.machine.smt_per_thread_slowdown
+                limit /= stretch
+                if limit <= 0:
+                    raise SimulationError(
+                        f"job {j} ({spec.name}) thread {i} on hw thread {tid} "
+                        f"of {self.machine.name}: non-positive standalone "
+                        f"rate limit {limit}"
+                    )
                 threads.append(
                     ThreadInfo(
                         job_index=j,
@@ -280,7 +298,7 @@ class DemandModel:
                         hw_thread_id=tid,
                         core_id=hw.core_id,
                         socket_id=hw.socket_id,
-                        limit=limit / stretch,
+                        limit=limit,
                         comm_stretch=stretch,
                         duty=spec.burst_duty,
                         cache_traffic=cache_traffic,
@@ -312,9 +330,12 @@ class DemandModel:
                 rate = min(rate, machine.dram_gbs_per_node / traffic)
         if spec.io_bpi > 0 and machine.nic_gbs > 0:
             rate = min(rate, machine.nic_gbs / spec.io_bpi)
-        for traffic in cache_traffic.values():
+        for level_name, traffic in cache_traffic.items():
             if traffic < 0:
-                raise SimulationError("negative cache traffic")
+                raise SimulationError(
+                    f"{spec.name} on {machine.name}: negative {level_name} "
+                    f"cache traffic ({traffic} bytes/instruction)"
+                )
         return rate
 
     # -- matrices for the solver -----------------------------------------
@@ -385,13 +406,30 @@ class DemandModel:
 
         m = len(capacities)
         coeffs = np.zeros((n, m))
+        pair_thread: List[int] = []
+        pair_resource: List[int] = []
+        pair_coeff: List[float] = []
+        resource_pairs: List[List[int]] = [[] for _ in range(m)]
         for pos, row in enumerate(rows):
             for idx, value in row.items():
                 coeffs[pos, idx] = value
+                resource_pairs[idx].append(len(pair_thread))
+                pair_thread.append(pos)
+                pair_resource.append(idx)
+                pair_coeff.append(value)
         self.resource_index = resource_index
         self.capacities = np.array(capacities)
+        #: Load above which a resource is saturated (the solver's test).
+        self.saturation = self.capacities * (1.0 + 1e-9)
         self.coeffs = coeffs
-        self.used_mask = coeffs > 0
+        # The non-zero coefficients as (thread, resource, coefficient)
+        # triples in thread order, so a sequential per-resource sum
+        # over them adds each resource's users in thread order.
+        self.pair_thread = np.array(pair_thread, dtype=np.intp)
+        self.pair_resource = np.array(pair_resource, dtype=np.intp)
+        self.pair_coeff = np.array(pair_coeff)
+        #: Per resource, the positions of its users' triples (thread order).
+        self.resource_pairs = [tuple(pairs) for pairs in resource_pairs]
         self.limits = np.array([t.limit for t in threads])
 
     @property

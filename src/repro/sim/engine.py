@@ -102,7 +102,10 @@ class SimResult:
         for jr in self.job_results:
             if jr.job is job:
                 return jr
-        raise SimulationError("job was not part of this simulation")
+        raise SimulationError(
+            f"{job.spec.name} on hw threads {list(job.hw_thread_ids)} was not "
+            f"part of this simulation on {self.machine_name}"
+        )
 
     @property
     def foreground(self) -> JobResult:
@@ -120,67 +123,81 @@ class _JobTiming:
     utilisation: np.ndarray
 
 
-def _water_fill(wants: np.ndarray, capacity: float) -> np.ndarray:
-    """Max-min fair allocation of *capacity* among traffic *wants*.
+def _water_level(wants: List[float], capacity: float) -> Optional[float]:
+    """Max-min fair share of *capacity* among traffic *wants*.
 
     Users wanting less than their fair share receive their want in
     full; the remainder is split evenly among the heavier users.  This
     is how real memory controllers and links behave: a trickle of
     requests into a saturated resource is served nearly unharmed.
 
-    Closed form: with wants sorted ascending, the fully-served users
-    form a prefix; everyone else gets the water level
-    ``(capacity - sum(prefix)) / #rest``.
+    Returns the water level every heavy user is granted, or ``None``
+    when capacity covers every want.  One scan of the sorted wants:
+    the fully-served users form a prefix, and the level is
+    ``(capacity - sum(prefix)) / #rest`` at the first user whose want
+    exceeds it.
     """
-    order = np.argsort(wants)
-    w = wants[order]
-    n = w.size
-    prefix = np.concatenate(([0.0], np.cumsum(w[:-1])))
-    levels = (capacity - prefix) / (n - np.arange(n))
-    below = w <= levels
-    if below.all():
-        return wants.copy()  # capacity covers every want
-    first_heavy = int(np.argmin(below))
-    level = levels[first_heavy]
-    grants_sorted = np.minimum(w, level)
-    grants = np.empty_like(wants)
-    grants[order] = grants_sorted
-    return grants
+    n = len(wants)
+    served = 0.0
+    for k, want in enumerate(sorted(wants)):
+        level = (capacity - served) / (n - k)
+        if not want <= level:
+            return level
+        served += want
+    return None
 
 
-def _solve_rates(model: DemandModel, utilisation: np.ndarray, opts: SimOptions) -> np.ndarray:
+def _solve_rates(
+    model: DemandModel, utilisation: np.ndarray, opts: SimOptions
+) -> Tuple[np.ndarray, int]:
     """Inner fixed point: instantaneous per-thread rates (Ginstr/s).
 
     Each saturated resource distributes its capacity max-min fairly
     over its users' current traffic wants; a thread's rate is its
     standalone limit capped by the tightest grant among its resources.
     Geometric damping drives the recursion to a stable allocation.
+
+    Works on the model's non-zero (thread, resource, coefficient)
+    triples; each resource's load sums its users in thread order.
+    Returns the rates and the number of inner iterations run.
     """
     limits = model.limits
-    if limits.size == 0:
-        return limits.copy()
-    if np.any(limits <= 0):
-        raise SimulationError("thread with non-positive standalone rate limit")
-    caps = model.capacities
-    coeffs = model.coeffs
     rate = limits.copy()
-    for _ in range(opts.inner_max_iters):
-        scaled = np.maximum(utilisation, 1e-9)
-        traffic = (scaled * rate)[:, np.newaxis] * coeffs
-        loads = traffic.sum(axis=0)
-        bounds = np.full_like(rate, np.inf)
-        for r in np.nonzero(loads > caps * (1.0 + 1e-9))[0]:
-            users = np.nonzero(coeffs[:, r] > 0)[0]
-            grants = _water_fill(traffic[users, r], caps[r])
-            user_bounds = grants / (scaled[users] * coeffs[users, r])
-            np.minimum.at(bounds, users, user_bounds)
-        target = np.minimum(limits, np.maximum(bounds, 1e-12))
+    if limits.size == 0:
+        return rate, 0
+    threads, resources, coeffs = model.pair_thread, model.pair_resource, model.pair_coeff
+    saturation, resource_pairs = model.saturation, model.resource_pairs
+    scaled = np.maximum(utilisation, 1e-9)
+    # A grant's bound divides by its user's scaled coefficient, fixed
+    # for the whole solve.
+    denominators = (scaled[threads] * coeffs).tolist()
+    thread_of = threads.tolist()
+    capacities = model.capacities.tolist()
+    iterations = 0
+    for iterations in range(1, opts.inner_max_iters + 1):
+        traffic = (scaled * rate)[threads] * coeffs
+        loads = np.bincount(resources, traffic, len(capacities))
+        saturated = (loads > saturation).nonzero()[0].tolist()
+        if saturated:
+            wants = traffic.tolist()
+            bounds = [np.inf] * rate.size
+            for r in saturated:
+                pairs = resource_pairs[r]
+                level = _water_level([wants[p] for p in pairs], capacities[r])
+                for p in pairs:
+                    grant = wants[p] if level is None else min(wants[p], level)
+                    bound = grant / denominators[p]
+                    if bound < bounds[thread_of[p]]:
+                        bounds[thread_of[p]] = bound
+            target = np.minimum(limits, np.maximum(bounds, 1e-12))
+        else:
+            target = limits
         new_rate = np.sqrt(rate * target)
-        change = np.max(np.abs(new_rate - rate) / np.maximum(rate, 1e-12))
+        change = (np.abs(new_rate - rate) / np.maximum(rate, 1e-12)).max()
         rate = new_rate
         if change < opts.inner_tolerance:
             break
-    return rate
+    return rate, iterations
 
 
 def _job_timing(spec: WorkloadSpec, rates: np.ndarray) -> _JobTiming:
@@ -232,7 +249,7 @@ def simulate(
     """
     opts = options or SimOptions()
     if not jobs:
-        raise SimulationError("simulate() needs at least one job")
+        raise SimulationError(f"simulate() on {machine.name} needs at least one job")
     with obs.span(
         "sim.simulate", machine=machine.name, jobs=len(jobs)
     ) as sim_span:
@@ -252,7 +269,7 @@ def simulate(
 
         n = model.n_threads
         utilisation = np.ones(n)
-        rates = _solve_rates(model, utilisation, opts)
+        rates, inner_iters = _solve_rates(model, utilisation, opts)
         timings: Dict[int, _JobTiming] = {}
         outer_iters = 1
 
@@ -260,7 +277,11 @@ def simulate(
         if foreground_jobs:
             with obs.span("sim.fixed_point", threads=n) as fp_span:
                 for outer_iters in range(1, opts.outer_max_iters + 1):
-                    rates = _solve_rates(model, utilisation, opts)
+                    # The first pass runs at utilisation 1: the rates
+                    # solved above.
+                    if outer_iters > 1:
+                        rates, iters = _solve_rates(model, utilisation, opts)
+                        inner_iters += iters
                     new_util = utilisation.copy()
                     for j in foreground_jobs:
                         pos = positions[j]
@@ -273,6 +294,7 @@ def simulate(
                         break
                 if fp_span is not None:
                     fp_span.attrs["outer_iterations"] = outer_iters
+                    fp_span.attrs["inner_iterations"] = inner_iters
                     obs.metrics().histogram("sim.outer_iterations").observe(
                         outer_iters
                     )
@@ -283,6 +305,7 @@ def simulate(
             )
         if sim_span is not None:
             sim_span.attrs["outer_iterations"] = outer_iters
+            obs.metrics().histogram("sim.inner_iterations").observe(inner_iters)
 
     loads = (utilisation * rates) @ model.coeffs if n else np.zeros(0)
     keys = model.resource_keys()

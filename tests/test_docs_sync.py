@@ -86,6 +86,7 @@ class TestObservabilityDocumented:
         "predictor.batch.alive_rows",
         "search.cache.lookup_us",
         "sim.outer_iterations",
+        "sim.inner_iterations",
     )
 
     def test_every_emitted_span_name_is_documented(self):
