@@ -422,7 +422,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                              "(with --quick: the X2-4 smoke section alone)")
     parser.add_argument("--assert-warm-savings", action="store_true",
                         help="fail unless the warm-start session saves "
-                             f">= {WARM_SAVINGS_TARGET:.0%} of the cold "
+                             f">= {WARM_SAVINGS_TARGET * 100:.0f}%% of the cold "
                              "session's fixed-point iterations")
     parser.add_argument("--json", metavar="FILE", default=None,
                         help="write the warm-session measurement record "

@@ -50,13 +50,21 @@ class PenaltyBreakdown:
         return self.resource + self.communication + self.load_balance
 
 
+def _untraced(prediction: Prediction) -> str:
+    return (
+        f"explain needs a prediction made with keep_trace=True; the prediction "
+        f"for workload {prediction.workload_name!r} on "
+        f"{prediction.machine_name} has no trace"
+    )
+
+
 def penalty_breakdown(prediction: Prediction) -> PenaltyBreakdown:
     """Split the final mean slowdown into the three penalty classes.
 
     Requires a prediction made with ``keep_trace=True``.
     """
     if not prediction.trace:
-        raise ReproError("explain needs a prediction made with keep_trace=True")
+        raise ReproError(_untraced(prediction))
     last = prediction.trace[-1]
     n = prediction.n_threads
     resource_part = mean([s - 1.0 for s in last.resource_slowdown])
@@ -81,7 +89,7 @@ def top_resources(
 def explain(prediction: Prediction) -> str:
     """A full textual account of one prediction."""
     if not prediction.trace:
-        raise ReproError("explain needs a prediction made with keep_trace=True")
+        raise ReproError(_untraced(prediction))
     breakdown = penalty_breakdown(prediction)
     lines = [
         f"{prediction.workload_name} on {prediction.machine_name}: "

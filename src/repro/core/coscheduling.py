@@ -27,9 +27,10 @@ from repro.core.placement import Placement
 from repro.core.predictor import (
     BATCH_CHUNK,
     Job,
+    OnDemandFields,
     PandiaPredictor,
-    Prediction,
     ResourceKey,
+    _Columns,
 )
 from repro.errors import PredictionError
 
@@ -43,8 +44,13 @@ class CoScheduledWorkload:
 
 
 @dataclass
-class WorkloadOutcome:
-    """Per-workload prediction within a co-schedule."""
+class WorkloadOutcome(OnDemandFields):
+    """Per-workload prediction within a co-schedule.
+
+    A kernel-built outcome builds ``slowdowns`` on first read.
+    """
+
+    _ON_DEMAND = ("slowdowns",)
 
     workload_name: str
     amdahl: float
@@ -58,8 +64,14 @@ class WorkloadOutcome:
 
 
 @dataclass
-class CoSchedulePrediction:
-    """Joint prediction for a set of co-scheduled workloads."""
+class CoSchedulePrediction(OnDemandFields):
+    """Joint prediction for a set of co-scheduled workloads.
+
+    A kernel-built prediction builds its resource dictionaries on first
+    read.
+    """
+
+    _ON_DEMAND = ("resource_loads", "resource_capacities")
 
     outcomes: List[WorkloadOutcome]
     iterations: int
@@ -96,8 +108,10 @@ class CoSchedulePredictor:
 
     def predict(self, jobs: Sequence[CoScheduledWorkload]) -> CoSchedulePrediction:
         """Joint prediction of one co-schedule."""
-        (row,) = self._kernel._solve([self._row(jobs)], "coscheduling.predict")
-        return _joint(row)
+        (joint,) = self._kernel._solve(
+            [self._row(jobs)], "coscheduling.predict", _joint
+        )
+        return joint
 
     def predict_batch(
         self, schedules: Sequence[Sequence[CoScheduledWorkload]]
@@ -107,10 +121,10 @@ class CoSchedulePredictor:
         bit-identical to :meth:`predict` on that co-schedule."""
         rows = [self._row(jobs) for jobs in schedules]
         return [
-            _joint(row)
+            joint
             for start in range(0, len(rows), BATCH_CHUNK)
-            for row in self._kernel._solve(
-                rows[start : start + BATCH_CHUNK], "coscheduling.predict_batch"
+            for joint in self._kernel._solve(
+                rows[start : start + BATCH_CHUNK], "coscheduling.predict_batch", _joint
             )
         ]
 
@@ -122,21 +136,23 @@ class CoSchedulePredictor:
         return [(job.description, job.placement) for job in jobs]
 
 
-def _joint(row: Sequence[Prediction]) -> CoSchedulePrediction:
-    """Package one kernel row's per-job predictions."""
-    return CoSchedulePrediction(
-        outcomes=[
-            WorkloadOutcome(
-                workload_name=p.workload_name,
-                amdahl=p.amdahl,
-                speedup=p.speedup,
-                predicted_time_s=p.predicted_time_s,
-                slowdowns=p.slowdowns,
-            )
-            for p in row
-        ],
-        iterations=row[0].iterations,
-        converged=row[0].converged,
-        resource_loads=row[0].resource_loads,
-        resource_capacities=row[0].resource_capacities,
-    )
+def _joint(solved: _Columns) -> List[CoSchedulePrediction]:
+    """One :class:`CoSchedulePrediction` per kernel row."""
+    return [
+        CoSchedulePrediction._on_demand(
+            (row, None, None),
+            outcomes=[
+                WorkloadOutcome._on_demand(
+                    (row, start, stop),
+                    workload_name=wd.name,
+                    amdahl=amdahl,
+                    speedup=speedup,
+                    predicted_time_s=time,
+                )
+                for (wd, _), amdahl, speedup, time, start, stop in jobs
+            ],
+            iterations=iterations,
+            converged=converged,
+        )
+        for row, iterations, converged, jobs in solved.by_row()
+    ]

@@ -123,7 +123,11 @@ def rightsize(
     using the fewest threads, then cores, then sockets wins.
     """
     if tolerance < 0:
-        raise PredictionError("tolerance must be >= 0")
+        raise PredictionError(
+            f"rightsize of workload {workload.name!r} on "
+            f"{_machine_name(predictor)}: tolerance must be >= 0, "
+            f"got {tolerance!r}"
+        )
     ranked = rank_placements(predictor, workload, placements, engine=engine)
     budget = ranked[0].predicted_time_s * (1.0 + tolerance)
     eligible = [r for r in ranked if r.predicted_time_s <= budget]

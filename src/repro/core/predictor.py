@@ -35,9 +35,11 @@ match it within 1e-12 (``tests/core/test_predictor_batch.py``,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import chain, islice
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import (
+    Callable, ClassVar, Dict, Hashable, List, Optional, Sequence, Tuple, TypeVar,
+)
 
 import numpy as np
 
@@ -52,6 +54,8 @@ from repro.obs.records import ConvergenceRecord
 from repro.units import near_zero
 
 ResourceKey = Tuple[str, Hashable]
+#: What a caller of the kernel packages each row into.
+_Result = TypeVar("_Result")
 
 #: Histogram bucket bounds for convergence residual magnitudes
 #: (log decades spanning tolerance scales to first-iteration jumps).
@@ -320,9 +324,62 @@ class IterationTrace(ConvergenceRecord):
         raise AttributeError(name)
 
 
+class OnDemandFields:
+    """Mixin for kernel results whose bulky fields are built when read.
+
+    The callers that decide placements read only times, so a result the
+    kernel builds (:meth:`_on_demand`) stores its scalar fields and a
+    ``_source``: its :class:`_KernelRow` and the ``start:stop`` range of
+    its threads there (``None, None`` for the whole row).  Each field
+    named in ``_ON_DEMAND`` is built from that row on first read, then
+    stored like any other.  Results built from explicit values have no
+    ``_source`` and are plain dataclasses.  Every field reads the same
+    values and types either way, so ``==`` and ``repr`` are unchanged;
+    pickling builds every field first, so a pickle is self-contained.
+    """
+
+    _ON_DEMAND: ClassVar[Tuple[str, ...]] = ()
+
+    @classmethod
+    def _on_demand(
+        cls, source: Tuple["_KernelRow", Optional[int], Optional[int]], **values
+    ):
+        result = cls.__new__(cls)
+        result.__dict__.update(values, _source=source)
+        return result
+
+    def __getattr__(self, name: str):
+        # Reached only for attributes not stored yet.
+        source = self.__dict__.get("_source")
+        if source is None or name not in self._ON_DEMAND:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        value = self.__dict__[name] = source[0].read(name, source[1], source[2])
+        return value
+
+    def __getstate__(self) -> Dict[str, object]:
+        # Init fields in declaration order, as an eagerly built result's
+        # __dict__ holds them, so the pickle is the same.
+        state = {f.name: getattr(self, f.name) for f in fields(self) if f.init}
+        state.update(self.__dict__)
+        state.pop("_source", None)
+        return state
+
+
 @dataclass
-class Prediction:
-    """Pandia's output for one (workload, machine, placement) triple."""
+class Prediction(OnDemandFields):
+    """Pandia's output for one (workload, machine, placement) triple.
+
+    A kernel-built prediction builds ``slowdowns``, ``utilisations``,
+    ``final_f_norm`` and the resource dictionaries on first read
+    (:class:`OnDemandFields`).
+    """
+
+    _ON_DEMAND = (
+        "slowdowns", "utilisations", "final_f_norm",
+        "resource_loads", "resource_capacities",
+    )
 
     workload_name: str
     machine_name: str
@@ -398,6 +455,11 @@ class Prediction:
     def relative_time(self) -> float:
         """Predicted time relative to the single-thread run (r = 1/speedup)."""
         return 1.0 / self.speedup
+
+
+# A class-level default would shadow __getattr__ for a kernel-built
+# prediction; __init__ keeps its own copy of the default.
+del Prediction.final_f_norm
 
 
 #: One job of a kernel row: a workload pinned to a placement.  A row is
@@ -566,6 +628,7 @@ class _Population:
     """
 
     def __init__(self, predictor: "PandiaPredictor", rows: Sequence[Sequence[Job]]):
+        self.predictor = predictor
         m = self.m = predictor._machine
         md = self.md = predictor.md
         self.rows = rows
@@ -680,13 +743,20 @@ class _Population:
         # either end loads it by its job's DRAM demand times its share
         # toward the far end.  Node loads scale by that demand after
         # summing (``mem_scale``); link coefficients already carry it.
+        # A thread uses each resource its job's shares reach, however
+        # small the demand: a coefficient that underflows to zero still
+        # marks a link the thread sends traffic over.
         if self.has_dram:
             pu, pv = m.pair_u, m.pair_v
-            demand = self.dram[:, :, None, None]
-            toward_v = demand * self.share[:, :, pu, pv][:, :, None]
-            toward_u = demand * self.share[:, :, pv, pu][:, :, None]
-            links = np.where(m.at_u, toward_v, np.where(m.at_v, toward_u, 0.0))
-            self.mem_share = np.concatenate([self.share, links], axis=3)
+            toward = np.where(
+                m.at_u,
+                self.share[:, :, pu, pv][:, :, None],
+                np.where(m.at_v, self.share[:, :, pv, pu][:, :, None], 0.0),
+            )
+            self.mem_share = np.concatenate(
+                [self.share, self.dram[:, :, None, None] * toward], axis=3
+            )
+            self.mem_uses = np.concatenate([self.share, toward], axis=3) > 0
             self.mem_scale = np.concatenate(
                 [
                     np.broadcast_to(self.dram[:, :, None], (pop, J, S)),
@@ -784,20 +854,18 @@ class _Population:
             out_caps.append(dict(zip(row_keys, islice(cap_values, count))))
         return out_loads, out_caps
 
-    def predictions(
+    def columns(
         self,
         final: np.ndarray,
         final_f: np.ndarray,
         iterations: np.ndarray,
         converged: np.ndarray,
         trace: List[IterationTrace],
-    ) -> List[List[Prediction]]:
-        """One :class:`Prediction` per job, grouped by row."""
+    ) -> "_Columns":
+        """The call's results as :class:`_Columns`."""
         valid = self.valid
         f_init_t = self.per_thread(self.f_init)
         slowdown = np.where(valid, final, 1.0)
-        futil = np.where(valid, f_init_t / slowdown, 0.0)
-        loads, caps = self.resource_dicts(futil)
         inv = np.where(valid, 1.0 / slowdown, 0.0)
         inv_total = np.bincount(
             self.seg_job.ravel(), inv.ravel(), minlength=self.pop * self.J
@@ -806,40 +874,170 @@ class _Population:
         time = self.t1 / speedup
 
         # Valid threads in row-major order are the jobs' threads in job
-        # order, so each job's values are the next n of these streams.
-        slowdowns = iter(final[valid].tolist())
-        utilisations = iter(futil[valid].tolist())
-        f_norms = iter((final_f[valid] / f_init_t[valid]).tolist())
-        per_job = zip(
-            self.n_job.tolist(), self.amdahl.tolist(), speedup.tolist(), time.tolist()
-        )
-        machine = self.md.machine_name
-        out: List[List[Prediction]] = []
-        for row, it, conv, row_loads, row_caps in zip(
-            self.rows, iterations.tolist(), converged.tolist(), loads, caps
-        ):
-            preds: List[Prediction] = []
-            for (wd, placement), (n, amdahl, speedup_j, time_j) in zip(row, per_job):
-                preds.append(
-                    Prediction(
-                        workload_name=wd.name,
-                        machine_name=machine,
-                        placement=placement,
-                        amdahl=amdahl,
-                        speedup=speedup_j,
-                        predicted_time_s=time_j,
-                        slowdowns=tuple(islice(slowdowns, n)),
-                        utilisations=tuple(islice(utilisations, n)),
-                        iterations=it,
-                        converged=conv,
-                        resource_loads=row_loads,
-                        resource_capacities=row_caps,
-                        final_f_norm=tuple(islice(f_norms, n)),
-                    )
+        # order, so each row's threads are the next of these columns.
+        final_v, f_init_v = final[valid], f_init_t[valid]
+        threads = np.stack([final_v, f_init_v / final_v, final_f[valid] / f_init_v])
+        per_row = np.count_nonzero(valid, axis=1)
+        row_start = np.cumsum(per_row) - per_row
+        job_start = np.cumsum(self.n_job) - self.n_job - row_start[self.job_row]
+        return _Columns(
+            rows=[
+                _KernelRow(self.predictor, jobs, threads[:, start : start + n])
+                for jobs, start, n in zip(
+                    self.rows, row_start.tolist(), per_row.tolist()
                 )
-            out.append(preds)
-        out[0][0].trace = trace
-        return out
+            ],
+            iterations=iterations.tolist(),
+            converged=converged.tolist(),
+            amdahl=self.amdahl.tolist(),
+            speedup=speedup.tolist(),
+            time=time.tolist(),
+            start=job_start.tolist(),
+            stop=(job_start + self.n_job).tolist(),
+            trace=trace,
+        )
+
+
+#: The on-demand fields read from a row's per-thread columns, by column.
+_THREAD_COLUMNS = {"slowdowns": 0, "utilisations": 1, "final_f_norm": 2}
+
+
+class _KernelRow:
+    """One kernel row's results, from which its fields are built on read.
+
+    ``threads`` is a ``(3, threads)`` view of the row's final slowdowns,
+    utilisations and normalised starting utilisations ``f_start /
+    f_initial``, its jobs side by side.  The resource dictionaries are
+    built at most once, by running the row alone through
+    :meth:`_Population.resource_dicts`: rows are independent bit for
+    bit, so they equal what the whole population would have built.  A
+    row keeps its predictor and jobs, never the population.
+    """
+
+    __slots__ = ("predictor", "jobs", "threads", "dicts")
+
+    def __init__(
+        self, predictor: "PandiaPredictor", jobs: Sequence[Job], threads: np.ndarray
+    ) -> None:
+        self.predictor = predictor
+        self.jobs = jobs
+        self.threads = threads
+        self.dicts: Optional[Dict[str, Dict[ResourceKey, float]]] = None
+
+    def read(self, name: str, start: Optional[int], stop: Optional[int]):
+        """On-demand field *name* of the threads ``start:stop``."""
+        column = _THREAD_COLUMNS.get(name)
+        if column is not None:
+            return tuple(self.threads[column, start:stop].tolist())
+        if self.dicts is None:
+            population = _Population(self.predictor, [self.jobs])
+            (loads,), (caps,) = population.resource_dicts(self.threads[1:2])
+            self.dicts = {"resource_loads": loads, "resource_capacities": caps}
+        return self.dicts[name]
+
+
+@dataclass
+class _Columns:
+    """One kernel call's results, column by column.
+
+    Per row: its :class:`_KernelRow`, iteration count and convergence
+    flag.  Per job, rows in order: Amdahl speedup, speedup, time, and
+    the ``start:stop`` range of its threads within its row.  ``trace``
+    holds the Figure-7 records of a traced one-row call.
+    """
+
+    rows: List[_KernelRow]
+    iterations: List[int]
+    converged: List[bool]
+    amdahl: List[float]
+    speedup: List[float]
+    time: List[float]
+    start: List[int]
+    stop: List[int]
+    trace: List[IterationTrace]
+
+    def by_row(self):
+        """Per row: ``(row, iterations, converged, jobs)``, each job as
+        ``((workload, placement), amdahl, speedup, time, start, stop)``."""
+        per_job = zip(self.amdahl, self.speedup, self.time, self.start, self.stop)
+        for row, iterations, converged in zip(
+            self.rows, self.iterations, self.converged
+        ):
+            yield row, iterations, converged, [
+                (job, *values) for job, values in zip(row.jobs, per_job)
+            ]
+
+
+class _Telemetry:
+    """One kernel call's spans and metrics, built only when obs is on.
+
+    The call's span opens here, before the population set-up, and
+    :meth:`close` ends it after the results are packaged.
+    """
+
+    def __init__(
+        self, span: str, machine: str, rows: Sequence[Sequence[Job]], seeded: bool
+    ) -> None:
+        self.tracer = obs.tracer()
+        metrics = obs.metrics()
+        self.metrics = metrics
+        self.alive_hist = metrics.histogram(
+            "predictor.batch.alive_rows", ALIVE_BUCKETS
+        )
+        self.res_hist = metrics.histogram("predictor.residual", RESIDUAL_BUCKETS)
+        self.compactions = metrics.counter("predictor.batch.compactions")
+        metrics.counter("predictor.batch.chunks").inc()
+        if seeded:
+            metrics.counter("predictor.warm.predictions").inc(len(rows))
+        self.convergence: List[ConvergenceRecord] = []
+        self.call_span = self.tracer.start(
+            span,
+            attrs={
+                "workload": "+".join(wd.name for wd, _ in rows[0]),
+                "machine": machine,
+                "population": len(rows),
+                "jobs": sum(map(len, rows)),
+                "threads": max(sum(pl.n_threads for _, pl in row) for row in rows),
+                "seeded": seeded,
+            },
+        )
+
+    def iteration(self, iteration: int, alive: int):
+        return self.tracer.start(
+            "predictor.iteration", attrs={"iteration": iteration, "alive": alive}
+        )
+
+    def end_iteration(
+        self, it_span, iteration: int, alive: int, delta_max: float, retired: int
+    ) -> None:
+        self.alive_hist.observe(alive)
+        if math.isfinite(delta_max):
+            self.res_hist.observe(delta_max)
+        if retired:
+            self.compactions.inc()
+        self.convergence.append(
+            ConvergenceRecord(
+                iteration=iteration,
+                max_residual=delta_max,
+                alive=alive,
+                compacted=retired,
+            )
+        )
+        it_span.attrs["max_residual"] = delta_max
+        it_span.attrs["compacted"] = retired
+        self.tracer.end(it_span)
+
+    def finish(self, iterations: np.ndarray, converged: np.ndarray) -> None:
+        self.metrics.histogram("predictor.iterations").observe_many(
+            int(v) for v in iterations
+        )
+        attrs = self.call_span.attrs
+        attrs["iterations_max"] = int(iterations.max())
+        attrs["converged_rows"] = int(np.count_nonzero(converged))
+        attrs["convergence"] = [r.to_dict() for r in self.convergence]
+
+    def close(self) -> None:
+        self.tracer.end(self.call_span)
 
 
 def _trace_row(
@@ -911,7 +1109,8 @@ class PandiaPredictor:
         :class:`IterationTrace` (the Figure-7 columns) per iteration.
         """
         (row,) = self._solve(
-            [[(workload, placement)]], "predictor.predict", seed, keep_trace
+            [[(workload, placement)]], "predictor.predict", self._predictions,
+            seed, keep_trace,
         )
         return row[0]
 
@@ -934,7 +1133,8 @@ class PandiaPredictor:
             row[0]
             for start in range(0, len(rows), BATCH_CHUNK)
             for row in self._solve(
-                rows[start : start + BATCH_CHUNK], "predictor.predict_batch", seed
+                rows[start : start + BATCH_CHUNK], "predictor.predict_batch",
+                self._predictions, seed,
             )
         ]
 
@@ -955,6 +1155,30 @@ class PandiaPredictor:
         return {key: load / caps[key] for key, load in loads.items()}
 
     # -- the kernel --------------------------------------------------------
+
+    def _predictions(self, solved: _Columns) -> List[List[Prediction]]:
+        """One :class:`Prediction` per job, grouped by row."""
+        machine = self.md.machine_name
+        out = [
+            [
+                Prediction._on_demand(
+                    (row, start, stop),
+                    workload_name=wd.name,
+                    machine_name=machine,
+                    placement=placement,
+                    amdahl=amdahl,
+                    speedup=speedup,
+                    predicted_time_s=time,
+                    iterations=iterations,
+                    converged=converged,
+                    trace=[],
+                )
+                for (wd, placement), amdahl, speedup, time, start, stop in jobs
+            ]
+            for row, iterations, converged, jobs in solved.by_row()
+        ]
+        out[0][0].trace = solved.trace
+        return out
 
     def _demand_template(self, workload: WorkloadDescription) -> _DemandTemplate:
         key = _demand_key(workload.demands)
@@ -990,29 +1214,56 @@ class PandiaPredictor:
         self,
         rows: Sequence[Sequence[Job]],
         span: str,
+        package: Callable[[_Columns], List[_Result]],
         seed: Optional[SeedState] = None,
         keep_trace: bool = False,
-    ) -> List[List[Prediction]]:
+    ) -> List[_Result]:
         """Figure 8's fixed point over a population of co-schedules.
 
-        Each row is a list of jobs sharing the machine; the result holds
-        one :class:`Prediction` per job, grouped by row, and a row's
-        jobs share its iteration count, convergence flag and resource
-        dictionaries.  Per job: Amdahl speedup, ``f_initial``,
-        burstiness, communication and load balance.  Per (row, job):
-        utilisation sums per core and per socket.  Resource loads are
-        summed over the job axis, and each thread takes its own job's
-        worst class ratio.  Per row: the Section-5.4 cap and the
-        convergence test; converged rows are compacted out while
-        stragglers iterate on.
-
-        Every sum over threads or jobs is sequential, so a row's result
-        is bit-identical whatever else shares its call.  *seed* and
-        *keep_trace* are for one-job rows (*keep_trace* for one row).
+        Each row is a list of jobs sharing the machine.  The kernel
+        returns :class:`_Columns`, which *package* turns into one result
+        per row; a row's jobs share its iteration count, convergence
+        flag and resource dictionaries.  With obs enabled, the *span*
+        covers the population set-up, the fixed point and the
+        packaging.  *seed* and *keep_trace* are for one-job rows
+        (*keep_trace* for one row).
         """
         if not rows:
             return []
-        p = _Population(self, rows)
+        # Telemetry: one hoisted branch; when disabled the loop pays a
+        # single `if tel` per iteration and no per-row work.
+        tel = (
+            _Telemetry(span, self.md.machine_name, rows, seed is not None)
+            if obs.enabled()
+            else None
+        )
+        try:
+            return package(
+                self._fixed_point(_Population(self, rows), seed, keep_trace, tel)
+            )
+        finally:
+            if tel is not None:
+                tel.close()
+
+    def _fixed_point(
+        self,
+        p: _Population,
+        seed: Optional[SeedState],
+        keep_trace: bool,
+        tel: Optional[_Telemetry],
+    ) -> _Columns:
+        """The fixed point over population *p*.
+
+        Per job: Amdahl speedup, ``f_initial``, burstiness,
+        communication and load balance.  Per (row, job): utilisation
+        sums per core and per socket.  Resource loads are summed over
+        the job axis, and each thread takes its own job's worst class
+        ratio.  Per row: the Section-5.4 cap and the convergence test;
+        converged rows are compacted out while stragglers iterate on.
+
+        Every sum over threads or jobs is sequential, so a row's result
+        is bit-identical whatever else shares its call.
+        """
         m, pop, J, T = p.m, p.pop, p.J, p.T
         S, NC = m.n_sockets, m.n_cores
         # A job's parameters reach its threads by a gather; with one job
@@ -1064,7 +1315,7 @@ class PandiaPredictor:
             # traffic to from the thread's socket.
             a.mem_share = p.mem_share
             a.mem_scale = p.mem_scale
-            a.mem_uses = p.mem_share > 0
+            a.mem_uses = p.mem_uses
         has_io = p.has_io
         if has_io:
             a.io = p.io
@@ -1089,53 +1340,10 @@ class PandiaPredictor:
         if seed is not None:
             warm_f = np.zeros((pop, T))
             warm_o = np.ones((pop, T))
-            for k, ((_, placement),) in enumerate(rows):
+            for k, ((_, placement),) in enumerate(p.rows):
                 n = placement.n_threads
                 warm_f[k, :n], warm_o[k, :n] = seed.map_to(placement)
             warm = (warm_f, warm_o)
-
-        # Telemetry: one hoisted branch; when disabled the loop pays a
-        # single `if obs_on` per iteration and no per-row work.
-        obs_on = obs.enabled()
-        if obs_on:
-            _tracer = obs.tracer()
-            _m = obs.metrics()
-            alive_hist = _m.histogram("predictor.batch.alive_rows", ALIVE_BUCKETS)
-            res_hist = _m.histogram("predictor.residual", RESIDUAL_BUCKETS)
-            compactions = _m.counter("predictor.batch.compactions")
-            _m.counter("predictor.batch.chunks").inc()
-            if seed is not None:
-                _m.counter("predictor.warm.predictions").inc(pop)
-            call_span = _tracer.start(
-                span,
-                attrs={
-                    "workload": "+".join(wd.name for wd, _ in rows[0]),
-                    "machine": self.md.machine_name,
-                    "population": pop,
-                    "jobs": len(p.n_job),
-                    "threads": T,
-                    "seeded": seed is not None,
-                },
-            )
-            convergence: List[ConvergenceRecord] = []
-
-            def _end_iteration(it_span, iteration, cur, delta_max, retired):
-                alive_hist.observe(cur)
-                if math.isfinite(delta_max):
-                    res_hist.observe(delta_max)
-                if retired:
-                    compactions.inc()
-                convergence.append(
-                    ConvergenceRecord(
-                        iteration=iteration,
-                        max_residual=delta_max,
-                        alive=cur,
-                        compacted=retired,
-                    )
-                )
-                it_span.attrs["max_residual"] = delta_max
-                it_span.attrs["compacted"] = retired
-                _tracer.end(it_span)
 
         # -- the fixed point, over the shrinking active set ------------
         alive = np.arange(pop)
@@ -1158,11 +1366,8 @@ class PandiaPredictor:
 
         for iteration in range(1, self.max_iterations + 1):
             cur = alive.size
-            if obs_on:
-                it_span = _tracer.start(
-                    "predictor.iteration",
-                    attrs={"iteration": iteration, "alive": cur},
-                )
+            if tel is not None:
+                it_span = tel.iteration(iteration, cur)
                 delta_max, retired = math.inf, 0
 
             # Step 1: resource contention (Section 5.1).  Padded threads
@@ -1246,8 +1451,8 @@ class PandiaPredictor:
                         a.valid, a.f_init_t * np.clip(warm[0], 0.0, 1.0), 0.0
                     )
                     synthetic_prev = True
-                    if obs_on:
-                        _end_iteration(it_span, iteration, cur, math.inf, 0)
+                    if tel is not None:
+                        tel.end_iteration(it_span, iteration, cur, math.inf, 0)
                     continue
             overall = np.minimum(np.maximum(overall, 1.0), cap[:, None])
 
@@ -1265,13 +1470,13 @@ class PandiaPredictor:
                     )
                 )
             if delta is not None:
-                if obs_on:
+                if tel is not None:
                     delta_max = float(delta.max())
                 done = delta < self.tolerance
                 if synthetic_prev:
                     done[:] = False
                 if np.count_nonzero(done):
-                    if obs_on:
+                    if tel is not None:
                         retired = int(np.count_nonzero(done))
                     finished = alive[done]
                     iterations[finished] = iteration
@@ -1281,8 +1486,8 @@ class PandiaPredictor:
                     keep = ~done
                     alive = alive[keep]
                     if not alive.size:
-                        if obs_on:
-                            _end_iteration(
+                        if tel is not None:
+                            tel.end_iteration(
                                 it_span, iteration, cur, delta_max, retired
                             )
                         break
@@ -1319,20 +1524,14 @@ class PandiaPredictor:
                     prev = np.clip(o_jump, 1.0, cap[:, None])
                     synthetic_prev = True
                     settle_hist = []
-            if obs_on:
-                _end_iteration(it_span, iteration, cur, delta_max, retired)
+            if tel is not None:
+                tel.end_iteration(it_span, iteration, cur, delta_max, retired)
 
         if alive.size:  # stragglers that hit max_iterations
             iterations[alive] = self.max_iterations
             final[alive] = overall
             final_f[alive] = f
 
-        if obs_on:
-            _m.histogram("predictor.iterations").observe_many(
-                int(v) for v in iterations
-            )
-            call_span.attrs["iterations_max"] = int(iterations.max())
-            call_span.attrs["converged_rows"] = int(np.count_nonzero(converged))
-            call_span.attrs["convergence"] = [r.to_dict() for r in convergence]
-            _tracer.end(call_span)
-        return p.predictions(final, final_f, iterations, converged, trace)
+        if tel is not None:
+            tel.finish(iterations, converged)
+        return p.columns(final, final_f, iterations, converged, trace)

@@ -66,3 +66,21 @@ class TestExplainText:
 
     def test_speedup_shown(self, traced_prediction):
         assert f"{traced_prediction.speedup:.2f}x" in explain(traced_prediction)
+
+
+class TestUntracedErrorsNameThePrediction:
+    @pytest.fixture
+    def untraced(self, request):
+        fig3_description = request.getfixturevalue("fig3_description")
+        example_workload = request.getfixturevalue("example_workload")
+        return PandiaPredictor(fig3_description).predict(
+            example_workload, Placement(fig3_description.topology, (0, 4, 2))
+        )
+
+    def test_penalty_breakdown_names_workload_and_machine(self, untraced):
+        with pytest.raises(ReproError, match=r"keep_trace.*'example' on FIG3"):
+            penalty_breakdown(untraced)
+
+    def test_explain_names_workload_and_machine(self, untraced):
+        with pytest.raises(ReproError, match=r"keep_trace.*'example' on FIG3"):
+            explain(untraced)

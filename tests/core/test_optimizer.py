@@ -112,6 +112,12 @@ class TestRightsize:
         with pytest.raises(PredictionError):
             rightsize(fig3_predictor, make_workload(), all_placements, tolerance=-0.1)
 
+    def test_negative_tolerance_error_names_workload_machine_and_value(
+        self, fig3_predictor, all_placements
+    ):
+        with pytest.raises(PredictionError, match=r"'w' on FIG3.*got -0\.1"):
+            rightsize(fig3_predictor, make_workload(), all_placements, tolerance=-0.1)
+
 
 class TiedPredictor:
     """Stub predictor: every placement gets exactly the same time."""

@@ -225,3 +225,21 @@ class TestPredictBatch:
         ]
         with pytest.raises(PredictionError, match="joint-prop"):
             CoSchedulePredictor(MD).predict_batch([jobs, []])
+
+
+class TestTinyDemands:
+    def test_denormal_dram_demand_still_uses_its_links(self):
+        """A thread sends traffic over a link whenever its job's shares
+        reach it, even when demand times share underflows to zero: the
+        job spanning both sockets is slowed by the oversubscribed link
+        like the oracle says."""
+        hog = _workload("hog", 1.0, 0.0, 0.0, 17.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0)
+        tiny = _workload("tiny", 1.0, 0.0, 0.0, 5e-324, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0)
+        jobs = [
+            CoScheduledWorkload(hog, Placement(TOPO, (0, 1, 3))),
+            CoScheduledWorkload(tiny, Placement(TOPO, (5, 6))),
+        ]
+        ours = CoSchedulePredictor(MD).predict(jobs)
+        ref = ReferenceCoSchedulePredictor(MD).predict(jobs)
+        assert ours.outcome_for("tiny").slowdowns == pytest.approx((1.02, 1.02))
+        assert_matches_oracle(ours, ref, "denormal DRAM demand")
