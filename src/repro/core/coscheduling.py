@@ -25,7 +25,6 @@ from repro.core.description import WorkloadDescription
 from repro.core.machine_desc import MachineDescription
 from repro.core.placement import Placement
 from repro.core.predictor import (
-    BATCH_CHUNK,
     Job,
     OnDemandFields,
     PandiaPredictor,
@@ -116,17 +115,13 @@ class CoSchedulePredictor:
     def predict_batch(
         self, schedules: Sequence[Sequence[CoScheduledWorkload]]
     ) -> List[CoSchedulePrediction]:
-        """Joint predictions of many co-schedules in one vectorised fixed
-        point (chunks of :data:`BATCH_CHUNK` rows).  Each result is
-        bit-identical to :meth:`predict` on that co-schedule."""
-        rows = [self._row(jobs) for jobs in schedules]
-        return [
-            joint
-            for start in range(0, len(rows), BATCH_CHUNK)
-            for joint in self._kernel._solve(
-                rows[start : start + BATCH_CHUNK], "coscheduling.predict_batch", _joint
-            )
-        ]
+        """Joint predictions of many co-schedules in vectorised fixed
+        points, in contiguous chunks of at most
+        :data:`~repro.core.predictor.BATCH_CELLS` padded cells.  Each
+        result is bit-identical to :meth:`predict` on that co-schedule."""
+        return self._kernel._solve_batch(
+            [self._row(jobs) for jobs in schedules], "coscheduling.predict_batch", _joint
+        )
 
     def _row(self, jobs: Sequence[CoScheduledWorkload]) -> List[Job]:
         if not jobs:

@@ -11,15 +11,19 @@ equivalence the paper's placement sort exposes on its x-axes
 
 The paper explored every placement on the 32-thread machines (41 868
 runs) and a ~20% sample on the 72-thread X5-2; ``sample_canonical``
-provides the deterministic sampling equivalent.
+provides the deterministic sampling equivalent.  It draws indices into
+the shape combos and unranks each one through a counting table, so it
+never lists the space: the 4-socket X2-4 has ~10^6 combos.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.errors import PlacementError
 from repro.hardware.topology import MachineTopology
@@ -38,7 +42,10 @@ class Placement:
     def __post_init__(self) -> None:
         object.__setattr__(self, "hw_thread_ids", tuple(self.hw_thread_ids))
         if not self.hw_thread_ids:
-            raise PlacementError("placement needs at least one thread")
+            raise PlacementError(
+                f"machine shape {self.topology.shape()}: placement needs at "
+                f"least one thread, got {self.hw_thread_ids}"
+            )
         seen = set()
         for tid in self.hw_thread_ids:
             if tid < 0 or tid >= self.topology.n_hw_threads:
@@ -123,7 +130,10 @@ def from_shapes(
                 f"{topology.cores_per_socket} cores"
             )
         if twos > 0 and topology.threads_per_core < 2:
-            raise PlacementError("machine has no SMT contexts for dual-thread cores")
+            raise PlacementError(
+                f"machine shape {topology.shape()} has no SMT contexts for "
+                f"dual-thread cores: socket {socket_id} asks for {twos}"
+            )
         core_ids = topology.socket(socket_id).core_ids
         for c in core_ids[:twos]:
             tids.extend(topology.core(c).hw_thread_ids[:2])
@@ -153,36 +163,131 @@ def _socket_shape_options(topology: MachineTopology) -> List[SocketShape]:
     ]
 
 
-def _iter_shape_combos(
-    topology: MachineTopology,
-    max_threads: Optional[int] = None,
-    max_sockets: Optional[int] = None,
-    max_cores: Optional[int] = None,
-) -> Iterator[Tuple[SocketShape, ...]]:
-    """Lazily yield canonical (socket-order-normalised) shape combos."""
-    options = _socket_shape_options(topology)
-    for combo in itertools.combinations_with_replacement(
-        sorted(options, reverse=True), topology.n_sockets
-    ):
-        n_threads = sum(ones + 2 * twos for ones, twos in combo)
-        if n_threads == 0:
-            continue
-        if max_threads is not None and n_threads > max_threads:
-            continue
-        if max_sockets is not None:
-            active = sum(1 for ones, twos in combo if ones + twos > 0)
-            if active > max_sockets:
-                continue
-        if max_cores is not None:
-            cores = sum(ones + twos for ones, twos in combo)
-            if cores > max_cores:
-                continue
-        yield combo
+class _ComboTable:
+    """Counts of the canonical shape combos, to unrank without listing.
+
+    A combo is a non-decreasing sequence of indices into the socket
+    shape options sorted descending, one index per socket, so its
+    shapes never increase from socket to socket.  Combos are ranked in
+    lexicographic order, the order of
+    ``itertools.combinations_with_replacement``, with the all-empty
+    combo left out.  With ``t`` threads and ``c`` cores left under the
+    filters, ``counts[k][t, c, i]`` is the number of ways to fill sockets
+    ``k..S-1`` with indices ``>= i``.  A filter that cannot bind keeps
+    a single budget value and charges nothing, so every filter
+    combination takes the same path.  ``max_sockets`` needs no budget:
+    the empty shape ``(0, 0)`` sorts last, so a combo has at most ``m``
+    active sockets exactly when sockets ``m..S-1`` are empty.
+    """
+
+    def __init__(
+        self,
+        topology: MachineTopology,
+        max_threads: Optional[int] = None,
+        max_sockets: Optional[int] = None,
+        max_cores: Optional[int] = None,
+    ) -> None:
+        options = self.options = sorted(_socket_shape_options(topology), reverse=True)
+        S, L = topology.n_sockets, len(options)
+        combos = math.comb(L + S - 1, S)
+        if combos > np.iinfo(np.int64).max:
+            raise PlacementError(
+                f"machine shape {topology.shape()}: {combos} shape combos "
+                f"overflow the 64-bit counting table"
+            )
+        ones, twos = np.array(options).T
+
+        def budget(bound: Optional[int], cost: np.ndarray) -> Tuple[int, np.ndarray]:
+            if bound is None or bound >= S * int(cost.max()):
+                return 0, np.zeros_like(cost)
+            return max(int(bound), 0), cost
+
+        self.top_t, self.cost_t = budget(max_threads, ones + 2 * twos)
+        self.top_c, self.cost_c = budget(max_cores, ones + twos)
+        active = S if max_sockets is None else min(max(int(max_sockets), 0), S)
+
+        t_left = np.arange(self.top_t + 1)[:, None, None] - self.cost_t
+        c_left = np.arange(self.top_c + 1)[None, :, None] - self.cost_c
+        fits = (t_left >= 0) & (c_left >= 0)
+        t_left, c_left = np.maximum(t_left, 0), np.maximum(c_left, 0)
+        level = np.ones((self.top_t + 1, self.top_c + 1, L + 1), dtype=np.int64)
+        self.counts = [level]
+        for k in reversed(range(S)):
+            # Completions whose socket k takes option j, then the sum
+            # over j >= i; index L (no option left) counts none.
+            step = np.where(fits, level[t_left, c_left, np.arange(L)], 0)
+            if k >= active:
+                step[:, :, :-1] = 0
+            level = np.zeros_like(level)
+            level[:, :, :L] = np.cumsum(step[:, :, ::-1], axis=2)[:, :, ::-1]
+            self.counts.append(level)
+        self.counts.reverse()
+        # Every budget admits the all-empty combo, the last in order,
+        # which places no thread.
+        self.size = int(level[self.top_t, self.top_c, 0]) - 1
+
+    def unrank(self, ranks: Iterable[int]) -> List[Tuple[SocketShape, ...]]:
+        """The combo at each rank (``0 <= rank < size``), in the order
+        the ranks come."""
+        r = np.fromiter(ranks, dtype=np.int64)
+        t = np.full(r.size, self.top_t)
+        c = np.full(r.size, self.top_c)
+        i = np.zeros(r.size, dtype=np.intp)
+        last = len(self.options) - 1
+        picks = []
+        for level in self.counts[:-1]:
+            # Counts fall along the option index: the pick is the last
+            # index j >= i whose count still covers the rank, found by
+            # bisection over [i, last].
+            head = level[t, c, i]
+            target = head - r
+            j, hi = i, np.full(r.size, last)
+            for _ in range(last.bit_length()):
+                mid = (j + hi + 1) // 2
+                covers = level[t, c, mid] >= target
+                j, hi = np.where(covers, mid, j), np.where(covers, hi, mid - 1)
+            r = r - (head - level[t, c, j])
+            t, c, i = t - self.cost_t[j], c - self.cost_c[j], j
+            picks.append(j.tolist())
+        options = self.options
+        return [tuple(options[j] for j in pick) for pick in zip(*picks)]
+
+
+def _shapes_sort_key(
+    topology: MachineTopology, shapes: Sequence[SocketShape]
+) -> Tuple[int, ...]:
+    """``from_shapes(topology, shapes).sort_key()``, read off the shapes.
+
+    Core ids run socket by socket, and within a socket
+    :func:`from_shapes` gives the dual-thread cores the lowest ids,
+    then the single-thread cores.
+    """
+    cps = topology.cores_per_socket
+    key = [sum(ones + 2 * twos for ones, twos in shapes)]
+    for ones, twos in shapes:
+        key += [2] * twos + [1] * ones + [0] * (cps - ones - twos)
+    return tuple(key)
+
+
+def _sorted_placements(
+    topology: MachineTopology, table: _ComboTable, ranks: Iterable[int]
+) -> List[Placement]:
+    """The placements of the combos at *ranks*, in the paper's sort order.
+
+    The combos are sorted before any placement is built, so no sort key
+    outlives the sort.
+    """
+    combos = table.unrank(ranks)
+    combos.sort(key=lambda shapes: _shapes_sort_key(topology, shapes))
+    return [from_shapes(topology, combo) for combo in combos]
 
 
 def count_canonical(topology: MachineTopology, **filters) -> int:
-    """How many canonical placements exist under the given filters."""
-    return sum(1 for _ in _iter_shape_combos(topology, **filters))
+    """How many canonical placements exist under the given filters.
+
+    Read from a counting table; nothing is listed.
+    """
+    return _ComboTable(topology, **filters).size
 
 
 def enumerate_canonical(
@@ -199,17 +304,13 @@ def enumerate_canonical(
     Figure 12 placement classes: ``max_sockets`` bounds how many sockets
     may be active and ``max_cores`` bounds the number of occupied cores.
     """
-    placements = [
-        from_shapes(topology, combo)
-        for combo in _iter_shape_combos(
-            topology,
-            max_threads=max_threads,
-            max_sockets=max_sockets,
-            max_cores=max_cores,
-        )
-    ]
-    placements.sort(key=lambda p: p.sort_key())
-    return placements
+    table = _ComboTable(
+        topology,
+        max_threads=max_threads,
+        max_sockets=max_sockets,
+        max_cores=max_cores,
+    )
+    return _sorted_placements(topology, table, range(table.size))
 
 
 def sample_canonical(
@@ -220,18 +321,20 @@ def sample_canonical(
 ) -> List[Placement]:
     """A deterministic sample of canonical placements in sort order.
 
-    Mirrors the paper's ~20% sampling on the X5-2.  Shape combos are
-    enumerated lazily (the 4-socket machine has ~10^6) and sampled
-    without replacement with a fixed seed, so every experiment sees the
-    same placements.
+    Mirrors the paper's ~20% sampling on the X5-2.  A fixed seed draws
+    indices into the shape combos without replacement, so every
+    experiment sees the same placements, and each drawn index is
+    unranked straight to its combo: the space (~10^6 combos on the
+    4-socket machine) is never listed.  When the space holds no more
+    than *max_count* combos, all of them are returned.
     """
     if max_count < 1:
-        raise PlacementError("sample size must be >= 1")
-    combos = list(_iter_shape_combos(topology, **filters))
-    if len(combos) > max_count:
-        rng = random.Random(seed)
-        chosen = sorted(rng.sample(range(len(combos)), max_count))
-        combos = [combos[i] for i in chosen]
-    placements = [from_shapes(topology, combo) for combo in combos]
-    placements.sort(key=lambda p: p.sort_key())
-    return placements
+        raise PlacementError(
+            f"machine shape {topology.shape()}: sample size must be >= 1, "
+            f"got {max_count}"
+        )
+    table = _ComboTable(topology, **filters)
+    ranks: Sequence[int] = range(table.size)
+    if table.size > max_count:
+        ranks = random.Random(seed).sample(ranks, max_count)
+    return _sorted_placements(topology, table, ranks)

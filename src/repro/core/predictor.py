@@ -60,19 +60,24 @@ _Result = TypeVar("_Result")
 #: Histogram bucket bounds for convergence residual magnitudes
 #: (log decades spanning tolerance scales to first-iteration jumps).
 RESIDUAL_BUCKETS = tuple(10.0 ** e for e in range(-9, 3))
-#: Histogram bucket bounds for the batch kernel's per-iteration
-#: active-set size (powers of two up to the chunk bound).
-ALIVE_BUCKETS = tuple(2 ** e for e in range(0, 10))
 
 #: Iteration count after which the dampening function engages
 #: (Section 5.4: "To prevent oscillation a dampening function engages
 #: after a 100 iterations").
 DAMPEN_AFTER = 100
 
-#: Placements evaluated per stacked population chunk in
-#: :meth:`PandiaPredictor.predict_batch` — bounds the padded arrays to
-#: a few tens of megabytes on the largest catalog machine.
-BATCH_CHUNK = 512
+#: Padded row × thread cells per kernel call of the batch entry points.
+#: A call's working set grows with its rows times its widest row, so
+#: :meth:`PandiaPredictor._solve_batch` cuts a population into
+#: contiguous runs of at most this many cells.  A 400-placement X5-2
+#: batch then peaks at about 2.4 MiB, against 8.4 MiB in one call.
+#: Each call has a fixed cost (0.5-1 ms for one X5-2 row on a
+#: 2-core host), which this budget keeps to within 10% on all 18,144
+#: X5-2 placements, against 512-row chunks.
+BATCH_CELLS = 6144
+#: Histogram bucket bounds for the batch kernel's per-iteration
+#: active-set size (powers of two up to the cell budget).
+ALIVE_BUCKETS = tuple(2 ** e for e in range(0, BATCH_CELLS.bit_length()))
 
 #: Settle iterations between Aitken extrapolation jumps in warm-started
 #: runs.  Three is the minimum history a component-wise delta-squared
@@ -1120,21 +1125,20 @@ class PandiaPredictor:
         placements: Sequence[Placement],
         seed: Optional[SeedState] = None,
     ) -> List[Prediction]:
-        """Predict every placement in one vectorised fixed point.
+        """Predict every placement in vectorised fixed points.
 
-        The kernel of :meth:`predict`, over one-job rows in chunks of
-        :data:`BATCH_CHUNK`; each prediction is bit-identical to
-        :meth:`predict` on its placement, whatever else shares the
-        chunk.  *seed* warm-starts every row from one shared
-        :class:`SeedState`, mapped onto each placement's shape.
+        The kernel of :meth:`predict`, over one-job rows in contiguous
+        chunks of at most :data:`BATCH_CELLS` padded cells; each
+        prediction is bit-identical to :meth:`predict` on its
+        placement, whatever else shares the chunk.  *seed* warm-starts
+        every row from one shared :class:`SeedState`, mapped onto each
+        placement's shape.
         """
         rows = [[(workload, p)] for p in placements]
         return [
             row[0]
-            for start in range(0, len(rows), BATCH_CHUNK)
-            for row in self._solve(
-                rows[start : start + BATCH_CHUNK], "predictor.predict_batch",
-                self._predictions, seed,
+            for row in self._solve_batch(
+                rows, "predictor.predict_batch", self._predictions, seed
             )
         ]
 
@@ -1209,6 +1213,28 @@ class PandiaPredictor:
                     mat[s, node] = fraction
             self._share_cache[key] = mat
         return mat
+
+    def _solve_batch(
+        self,
+        rows: Sequence[Sequence[Job]],
+        span: str,
+        package: Callable[[_Columns], List[_Result]],
+        seed: Optional[SeedState] = None,
+    ) -> List[_Result]:
+        """:meth:`_solve` over *rows* cut, in their order, into
+        contiguous runs whose row count times widest row stays within
+        :data:`BATCH_CELLS`; a row wider than that runs alone.  Rows are
+        independent bit for bit, so the results equal one call's."""
+        results: List[_Result] = []
+        start, widest = 0, 0
+        for end, row in enumerate(rows):
+            width = sum(placement.n_threads for _, placement in row)
+            if end > start and (end - start + 1) * max(widest, width) > BATCH_CELLS:
+                results += self._solve(rows[start:end], span, package, seed)
+                start, widest = end, 0
+            widest = max(widest, width)
+        results += self._solve(rows[start:], span, package, seed)
+        return results
 
     def _solve(
         self,

@@ -23,6 +23,7 @@ levels to keep the vector a fixed width regardless of cache depth).
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import List, Sequence, Tuple, Union
 
 import numpy as np
@@ -71,17 +72,21 @@ def shape_arrays(
     n_sockets: int,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Stack canonical keys into ``(ones, twos)`` arrays of shape (N, S)."""
-    ones = np.zeros((len(placements), n_sockets), dtype=np.float64)
-    twos = np.zeros((len(placements), n_sockets), dtype=np.float64)
-    for i, item in enumerate(placements):
-        key = item.canonical_key() if isinstance(item, Placement) else tuple(item)
+    keys = [
+        item.canonical_key() if isinstance(item, Placement) else tuple(item)
+        for item in placements
+    ]
+    for key in keys:
         if len(key) != n_sockets:
             raise ModelError(
                 f"canonical key has {len(key)} sockets, machine has {n_sockets}"
             )
-        for s, (o, t) in enumerate(key):
-            ones[i, s] = o
-            twos[i, s] = t
+    flat = np.fromiter(
+        chain.from_iterable(chain.from_iterable(keys)),
+        dtype=np.float64,
+        count=2 * n_sockets * len(keys),
+    )
+    ones, twos = flat.reshape(len(keys), n_sockets, 2).transpose(2, 0, 1).copy()
     return ones, twos
 
 

@@ -102,22 +102,26 @@ class TestBatchEqualsScalar:
         assert predictor.predict_batch(_fixed_workload(), []) == []
 
     def test_population_larger_than_chunk(self):
-        """Populations above BATCH_CHUNK split into multiple kernels."""
-        from repro.core.predictor import BATCH_CHUNK
+        """Populations above BATCH_CELLS cells split into multiple kernels."""
+        from repro.core.predictor import BATCH_CELLS
 
         predictor = PandiaPredictor(make_md())
         workload = _fixed_workload()
+        # Any 20 consecutive rows hold the 8-thread placement, so a chunk
+        # takes at most BATCH_CELLS // 8 rows: this population spans
+        # three chunks.
         placements = [
-            ALL_PLACEMENTS[i % len(ALL_PLACEMENTS)] for i in range(BATCH_CHUNK + 3)
+            ALL_PLACEMENTS[i % len(ALL_PLACEMENTS)]
+            for i in range(2 * (BATCH_CELLS // 8) + 3)
         ]
         batched = predictor.predict_batch(workload, placements)
         assert len(batched) == len(placements)
         # Duplicate placements must produce identical predictions.
         ref = reference(predictor, workload, placements[0])
         assert_matches_reference(batched[0], ref, "chunk head")
-        assert_matches_reference(
-            batched[len(ALL_PLACEMENTS)], ref, "same placement, later chunk"
-        )
+        last = len(placements) - 1 - placements[::-1].index(placements[0])
+        assert last > BATCH_CELLS // 8
+        assert_matches_reference(batched[last], ref, "same placement, later chunk")
 
 
 def _fixed_workload(**overrides):

@@ -58,7 +58,8 @@ class TestDisabledPathIsHoisted:
         calls = []
         monkeypatch.setattr(obs, "enabled", lambda: calls.append(1) is None and False)
         predictor.predict_batch(workload, placements)
-        # One check per chunk (48 placements < BATCH_CHUNK = one chunk):
+        # One check per chunk (48 X2-4 placements of at most 80 threads
+        # fit one BATCH_CELLS chunk):
         # anything growing with iterations or rows means the hoisting
         # regressed.
         assert len(calls) == 1
