@@ -9,10 +9,9 @@ The naive baseline is what the code did before the search engine
 existed: every helper re-ranks the whole placement set with one
 predictor call per placement (kept verbatim as
 ``rank_placements_serial``).  The engine path evaluates each symmetry
-class once and answers everything else from its prediction cache; on
-multi-core hosts ``--workers N`` additionally fans misses out over a
-process pool.  Golden equivalence (identical best placement, times
-within 1e-12) is asserted on every run.
+class once and answers everything else from its prediction cache.
+Golden equivalence (identical best placement, times within 1e-12) is
+asserted on every run.
 
 A second section measures the **warm-start session**: a greedy
 hill-climb on X2-4 at fixed-point tolerance 1e-13 (the regime warm
@@ -116,13 +115,9 @@ def naive_session(predictor, workload, placements):
     return best.placement, best.predicted_time_s, peak.placement.n_threads
 
 
-def engine_session(predictor, workload, placements, workers: Optional[int]):
+def engine_session(predictor, workload, placements):
     """The same session through one (fresh) search engine."""
-    with SearchEngine(
-        predictor,
-        max_workers=workers,
-        executor="process" if workers and workers > 1 else "thread",
-    ) as engine:
+    with SearchEngine(predictor) as engine:
         best, best_pred = best_placement(predictor, workload, placements, engine=engine)
         for tolerance in TOLERANCES:
             rightsize(predictor, workload, placements, tolerance, engine=engine)
@@ -131,8 +126,7 @@ def engine_session(predictor, workload, placements, workers: Optional[int]):
     return best, best_pred.predicted_time_s, peak, stats
 
 
-def run(machine_name: str, workload_names: Sequence[str], repeats: int,
-        workers: Optional[int]) -> float:
+def run(machine_name: str, workload_names: Sequence[str], repeats: int) -> float:
     spec = machines.get(machine_name)
     md = generate_machine_description(spec, noise=NO_NOISE)
     predictor = PandiaPredictor(md)
@@ -155,9 +149,7 @@ def run(machine_name: str, workload_names: Sequence[str], repeats: int,
         engine_best = float("inf")
         last = None
         for _ in range(repeats):
-            elapsed, last = _timed_r(
-                engine_session, predictor, workload, placements, workers
-            )
+            elapsed, last = _timed_r(engine_session, predictor, workload, placements)
             engine_best = min(engine_best, elapsed)
         best_pl, best_time, peak, stats = last
 
@@ -409,8 +401,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="override the benchmark machine")
     parser.add_argument("--repeats", type=int, default=None,
                         help="sessions per configuration (best-of)")
-    parser.add_argument("--workers", type=int, default=0,
-                        help="process-pool workers for the engine (0 = serial)")
     parser.add_argument("--trace-out", metavar="FILE", default=None,
                         help="collect repro.obs spans during the engine "
                              "sessions and write a Chrome trace to FILE "
@@ -453,7 +443,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     worst = None
     if not args.warm_only:
-        worst = run(machine, workloads, repeats, args.workers or None)
+        worst = run(machine, workloads, repeats)
         if worst < 0:
             return 1
 

@@ -24,8 +24,8 @@ Subcommands mirror the library's workflow:
 * ``bench check`` / ``bench record`` — the benchmark-regression
   sentinel over the committed ``BENCH_*.json``.
 * ``lint src/repro`` — statically check the codebase's determinism,
-  golden-purity, pool-safety and observability contracts against the
-  committed baseline (see ``docs/lint.md``).
+  golden-purity and observability contracts against the committed
+  baseline (see ``docs/lint.md``).
 """
 
 from __future__ import annotations
@@ -202,14 +202,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         from repro.io import PredictionStore
 
         store = PredictionStore(args.store)
-    with SearchEngine(
-        predictor,
-        max_workers=args.workers if args.workers > 1 else None,
-        executor="process" if args.workers > 1 else "thread",
-        chunk_size=args.chunk_size,
-        warm_start=args.warm_start,
-        store=store,
-    ) as engine:
+    with SearchEngine(predictor, warm_start=args.warm_start, store=store) as engine:
         result = engine.search(wd, strategy)
         placements = [r.placement for r in result.ranked]  # all cache hits below
         best, best_pred = result.best_placement, result.best_prediction
@@ -732,10 +725,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--surrogate-model", metavar="PATH",
                    help="trained surrogate model for --strategy surrogate "
                         "(see: pandia surrogate train)")
-    p.add_argument("--workers", type=int, default=0,
-                   help="process-pool workers for prediction fan-out (0 = serial)")
-    p.add_argument("--chunk-size", type=int, default=16,
-                   help="placements per pool work unit")
     p.add_argument("--stats", action="store_true",
                    help="print search-engine cache/dedup statistics")
     p.add_argument("--warm-start", action="store_true",
@@ -854,7 +843,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "lint",
-        help="statically check determinism/golden/pool/obs invariants",
+        help="statically check determinism/golden/obs invariants",
     )
     p.add_argument(
         "paths", nargs="*", default=["src/repro"],

@@ -13,8 +13,8 @@ per predictor, so chaining ``best_placement`` → ``rightsize`` →
 ``peak_thread_count`` over one placement set costs a single evaluation
 pass — and that pass runs the misses through the predictor's batched
 ``predict_batch`` kernel (one vectorised fixed point over the whole
-miss set).  Pass ``engine=`` to control caching/parallelism
-explicitly; :func:`rank_placements_serial` keeps the naive scalar loop
+miss set).  Pass ``engine=`` to control caching explicitly;
+:func:`rank_placements_serial` keeps the naive scalar loop
 as the golden reference (``tests/search/test_golden_equivalence.py``).
 """
 
@@ -74,7 +74,7 @@ def rank_placements_serial(
     workload: WorkloadDescription,
     placements: Sequence[Placement],
 ) -> List[RankedPlacement]:
-    """The naive serial loop: no dedup, no cache, no pool.
+    """The naive serial loop: no dedup, no cache, no batch kernel.
 
     Reference implementation for the golden-equivalence tests and the
     ``bench_search`` baseline; prefer :func:`rank_placements`.

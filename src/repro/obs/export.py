@@ -40,7 +40,7 @@ def chrome_trace_events(spans: Sequence[Span]) -> List[Dict[str, Any]]:
     Spans within one (pid, tid) follow stack discipline by
     construction; sorting by (start, -duration) and closing finished
     spans before opening later ones reproduces that nesting in the
-    B/E stream even if the buffer arrives shuffled (pool merges).
+    B/E stream even if the buffer arrives shuffled.
     """
     by_track: Dict[Tuple[int, int], List[Span]] = {}
     t0 = min((s.start_ns for s in spans), default=0)

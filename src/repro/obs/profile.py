@@ -1,9 +1,7 @@
 """Span-tree profiling: folded stacks, hot-path tables, SVG flamegraphs.
 
-The tracer's flat finished-span buffer (including spans merged back
-from process-pool workers — span ids embed the producing pid, parents
-were captured at submit time) is folded here into an aggregate call
-tree:
+The tracer's flat finished-span buffer is folded here into an
+aggregate call tree:
 
 * :func:`aggregate` — one :class:`Frame` per distinct name-path, with
   total/self wall time and visit counts; sibling spans with the same
@@ -17,11 +15,11 @@ tree:
   scripts, no external fonts) embeddable in the HTML dashboard.
 
 Wall-time accounting: a frame's *self* time is its total minus its
-children's total, floored at zero.  Under thread/process fan-out a
-parent's children can sum to more than the parent's wall time
-(parallelism); the flamegraph renderer rescales such children to fit
-the parent's box, so the **root frame width always equals the run's
-wall time** — the invariant the dashboard acceptance test pins.
+children's total, floored at zero.  In a span log whose children ran
+in parallel, a parent's children can sum to more than the parent's
+wall time; the flamegraph renderer rescales such children to fit the
+parent's box, so the **root frame width always equals the run's wall
+time** — the invariant the dashboard acceptance test pins.
 """
 
 from __future__ import annotations

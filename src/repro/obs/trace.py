@@ -1,18 +1,11 @@
-"""Nested-span tracer with thread- and process-safe propagation.
+"""Nested-span tracer with per-thread span stacks.
 
 A :class:`Span` records a name, free-form attributes, wall time
-(``time.perf_counter_ns`` — ``CLOCK_MONOTONIC``, comparable across
-processes on one host) and CPU time for one phase of work.  The
-:class:`Tracer` keeps a per-thread span stack (so nesting needs no
-explicit plumbing within a thread) and a lock-protected buffer of
-finished spans.
-
-Crossing an executor boundary is explicit: the submitting side captures
-``tracer.current_id()`` and the worker opens its spans with
-``parent=<that id>``.  Worker *processes* run their own tracer and ship
-finished spans back with the task result; the parent folds them in with
-:meth:`Tracer.absorb` — span ids embed the producing pid, so merged
-buffers never collide.
+(``time.perf_counter_ns`` — ``CLOCK_MONOTONIC``) and CPU time for one
+phase of work.  The :class:`Tracer` keeps a per-thread span stack (so
+nesting needs no explicit plumbing: a span's parent is the innermost
+span open on its thread) and a lock-protected buffer of finished spans.
+Span ids embed the producing pid.
 
 Everything here is plain stdlib and allocation-light; the module is
 never imported on the disabled fast path (callers guard on
@@ -26,7 +19,7 @@ import os
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, List, Optional
 
 
 @dataclass
@@ -66,16 +59,15 @@ class Span:
 class _SpanContext:
     """Context manager yielding the live span (for attr updates)."""
 
-    __slots__ = ("_tracer", "_name", "_parent", "_attrs", "span")
+    __slots__ = ("_tracer", "_name", "_attrs", "span")
 
-    def __init__(self, tracer: "Tracer", name: str, parent: Optional[str], attrs: Dict[str, Any]) -> None:
+    def __init__(self, tracer: "Tracer", name: str, attrs: Dict[str, Any]) -> None:
         self._tracer = tracer
         self._name = name
-        self._parent = parent
         self._attrs = attrs
 
     def __enter__(self) -> Span:
-        self.span = self._tracer.start(self._name, parent=self._parent, attrs=self._attrs)
+        self.span = self._tracer.start(self._name, attrs=self._attrs)
         return self.span
 
     def __exit__(self, *exc) -> bool:
@@ -124,22 +116,14 @@ class Tracer:
         stack = self._stack()
         return stack[-1].span_id if stack else None
 
-    def start(
-        self,
-        name: str,
-        parent: Optional[str] = None,
-        attrs: Optional[Dict[str, Any]] = None,
-    ) -> Span:
-        """Open a span; parented under this thread's current span unless
-        *parent* carries an explicit id (executor fan-out)."""
+    def start(self, name: str, attrs: Optional[Dict[str, Any]] = None) -> Span:
+        """Open a span, parented under this thread's current span."""
         stack = self._stack()
-        if parent is None and stack:
-            parent = stack[-1].span_id
         pid = os.getpid()
         span = Span(
             name=name,
             span_id=f"{pid}-{next(self._ids)}",
-            parent_id=parent or None,
+            parent_id=stack[-1].span_id if stack else None,
             pid=pid,
             tid=threading.get_ident(),
             start_ns=time.perf_counter_ns(),
@@ -164,9 +148,9 @@ class Tracer:
             self._finished.append(span)
         return span
 
-    def span(self, name: str, parent: Optional[str] = None, **attrs: Any) -> _SpanContext:
+    def span(self, name: str, **attrs: Any) -> _SpanContext:
         """``with tracer.span("phase", key=value) as s: ...``"""
-        return _SpanContext(self, name, parent, attrs)
+        return _SpanContext(self, name, attrs)
 
     # -- buffer management ----------------------------------------------
 
@@ -176,16 +160,11 @@ class Tracer:
             return list(self._finished)
 
     def drain(self) -> List[Span]:
-        """Remove and return every finished span (for shipping/merging)."""
+        """Remove and return every finished span."""
         with self._lock:
             out = self._finished
             self._finished = []
         return out
-
-    def absorb(self, spans: Iterable[Span]) -> None:
-        """Fold spans drained from another tracer (e.g. a pool worker)."""
-        with self._lock:
-            self._finished.extend(spans)
 
     def clear(self) -> None:
         self.drain()

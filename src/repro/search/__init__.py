@@ -1,4 +1,4 @@
-"""Placement-search engine (ISSUE 2).
+"""Placement-search engine.
 
 The paper's two headline uses of Pandia — picking the best placement
 and right-sizing a workload (Sections 1 and 6) — both reduce to
@@ -12,9 +12,8 @@ that evaluation scale:
   ``(workload fingerprint, canonical placement key)``, so repeated
   searches over overlapping placement sets pay only dictionary lookups
   (:mod:`repro.search.cache`);
-* **fan-out** — cache misses are evaluated in chunked work units on a
-  ``concurrent.futures`` thread or process pool, with a sequential
-  fallback when no pool is requested or available
+* **one kernel call** — each request's cache misses reach the
+  predictor's vectorised ``predict_batch`` together, in process
   (:class:`repro.search.engine.SearchEngine`);
 * **strategies** — exhaustive enumeration, the packed/spread sweep,
   a greedy hill-climb over neighbour moves, and a surrogate-guided
@@ -24,8 +23,8 @@ that evaluation scale:
 
 The fast path is *prediction-equivalent* to the naive serial loop: the
 same concrete placements are fed to the same deterministic predictor,
-so results are bit-identical regardless of worker count or chunk size
-(see ``tests/search/test_golden_equivalence.py``).
+so every result matches it within the kernel's 1e-12 equivalence
+guarantee (see ``tests/search/test_golden_equivalence.py``).
 """
 
 from repro.search.cache import PredictionCache

@@ -4,8 +4,7 @@
 :class:`repro.obs.Metrics` registry (instrument names ``search.*``)
 rather than a bag of hand-rolled ints: the same counters the engine
 bumps are what ``repro optimize --metrics`` folds into the global
-metrics summary, and pool workers' contributions merge through the
-registry's ``merge`` like every other metric.
+metrics summary through the registry's ``merge``.
 
 The invariants the property tests pin down
 (``tests/properties/test_search_properties.py``):
@@ -42,7 +41,6 @@ _COUNTER_FIELDS = (
     "surrogate_scored",
     "surrogate_verified",
     "surrogate_fallbacks",
-    "pool_fallbacks",
 )
 #: Accumulated-seconds counters.
 _TIME_FIELDS = ("wall_time_s", "strategy_time_s")
@@ -140,10 +138,6 @@ class SearchStats:
     @property
     def surrogate_fallbacks(self) -> int:  # searches that fell back to exact
         return self._value("surrogate_fallbacks")
-
-    @property
-    def pool_fallbacks(self) -> int:  # pools that failed to start; ran serially
-        return self._value("pool_fallbacks")
 
     @property
     def surrogate_regret(self) -> Optional[float]:
@@ -244,7 +238,6 @@ class SearchStats:
                 + (f"{regret:.3%}" if regret is not None else "n/a"),
             ),
             ("rounds", str(self.rounds)),
-            ("pool fallbacks", str(self.pool_fallbacks)),
             (
                 "wall time",
                 f"{self.wall_time_s:.3f} s "

@@ -97,8 +97,7 @@ class GreedyHillClimbStrategy:
     current best — add/remove a thread, pair/split an SMT context,
     migrate a thread across sockets — until a round yields no
     improvement or ``max_rounds`` is hit.  Evaluating each neighbour
-    batch through the engine keeps the climb cache-friendly and
-    pool-parallel.
+    batch through the engine keeps the climb cache-friendly.
     """
 
     def __init__(self, max_rounds: int = 64) -> None:
@@ -168,11 +167,17 @@ class SurrogateStrategy:
         seed: int = 0,
     ) -> None:
         if initial_k < 1:
-            raise PredictionError("surrogate initial_k must be >= 1")
+            raise PredictionError(
+                f"surrogate initial_k must be >= 1, got {initial_k!r}"
+            )
         if growth <= 1.0:
-            raise PredictionError("surrogate growth factor must be > 1")
+            raise PredictionError(
+                f"surrogate growth factor must be > 1, got {growth!r}"
+            )
         if stable_rounds < 1:
-            raise PredictionError("surrogate stable_rounds must be >= 1")
+            raise PredictionError(
+                f"surrogate stable_rounds must be >= 1, got {stable_rounds!r}"
+            )
         self.model = model
         self.model_path = model_path
         self.space = space

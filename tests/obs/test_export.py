@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.obs.trace import Tracer
+from repro.obs.trace import Span, Tracer
 from repro.obs.export import (
     chrome_trace_events,
     read_spans_jsonl,
@@ -17,8 +17,8 @@ from repro.obs.export import (
 
 
 def _sample_spans():
-    """outer > (first, second) on one thread, plus a merged-in span
-    from a fake worker process."""
+    """outer > (first, second) on one thread, plus a span from a
+    second process, so the export has two tracks."""
     tracer = Tracer()
     with tracer.span("outer", workload="MD"):
         with tracer.span("first"):
@@ -26,14 +26,17 @@ def _sample_spans():
         with tracer.span("second", misses=3):
             pass
     spans = tracer.spans()
-    worker = Tracer()
-    with worker.span("chunk", parent=spans[-1].span_id):
-        pass
-    shipped = worker.drain()
-    for span in shipped:  # simulate a forked worker's identity
-        span.pid += 1
-    tracer.absorb(shipped)
-    return tracer.spans()
+    outer = spans[-1]
+    other = Span(
+        name="chunk",
+        span_id=f"{outer.pid + 1}-1",
+        parent_id=outer.span_id,
+        pid=outer.pid + 1,
+        tid=outer.tid,
+        start_ns=outer.end_ns,
+        dur_ns=1000,
+    )
+    return spans + [other]
 
 
 class TestChromeExport:
@@ -46,11 +49,11 @@ class TestChromeExport:
 
     def test_nesting_survives_shuffled_buffer(self):
         spans = _sample_spans()
-        spans.reverse()  # pool merges arrive in arbitrary order
+        spans.reverse()  # a buffer may arrive in any order
         document = to_chrome_trace(spans)
         counts = validate_chrome_trace(document)
         assert counts["spans"] == 4
-        assert counts["tracks"] == 2  # parent pid + fake worker pid
+        assert counts["tracks"] == 2  # one per pid
 
     def test_b_events_carry_span_identity_and_attrs(self):
         events = chrome_trace_events(_sample_spans())

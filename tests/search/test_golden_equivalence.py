@@ -1,8 +1,8 @@
 """Golden regression: the fast search path equals the naive serial loop.
 
 For every machine in the catalog and three catalog workloads, the
-parallel + cached engine must return the same best placement and the
-same predicted times (within 1e-12) as
+cached engine must return the same best placement and the same
+predicted times (within 1e-12) as
 :func:`repro.core.optimizer.rank_placements_serial` — the pre-engine
 implementation kept verbatim as the reference.
 
@@ -87,18 +87,14 @@ def _assert_rank_matches(ranked, golden, label):
 @pytest.mark.parametrize("machine_name", MACHINES)
 @pytest.mark.parametrize("workload_name", WORKLOADS)
 class TestGoldenEquivalence:
-    def test_parallel_cached_search_matches_serial_loop(
-        self, machine_name, workload_name
-    ):
+    def test_cached_search_matches_serial_loop(self, machine_name, workload_name):
         spec, predictor, descriptions = _setup(machine_name)
         workload = descriptions[workload_name]
         placements = _candidates(spec)
 
         golden = rank_placements_serial(predictor, workload, placements)
 
-        with SearchEngine(
-            predictor, max_workers=2, executor="thread", chunk_size=7
-        ) as engine:
+        with SearchEngine(predictor) as engine:
             fast = rank_placements(predictor, workload, placements, engine=engine)
             # A second pass must be answered from the cache, unchanged.
             again = rank_placements(predictor, workload, placements, engine=engine)
@@ -134,21 +130,6 @@ class TestSymmetricDuplicates:
         assert canonical_key(fast[0].placement) == canonical_key(golden[0].placement)
         for ours, ref in zip(fast, golden):
             assert abs(ours.predicted_time_s - ref.predicted_time_s) <= TOLERANCE
-
-
-class TestProcessPoolEquivalence:
-    """One process-pool case (spawn cost keeps this to a single machine)."""
-
-    def test_process_pool_matches_serial(self):
-        spec, predictor, descriptions = _setup("TESTBOX")
-        workload = descriptions["MD"]
-        placements = _candidates(spec)
-        golden = rank_placements_serial(predictor, workload, placements)
-        with SearchEngine(
-            predictor, max_workers=2, executor="process", chunk_size=5
-        ) as engine:
-            fast = engine.rank(workload, placements)
-        _assert_rank_matches(fast, golden, "process pool on TESTBOX/MD")
 
 
 @pytest.mark.parametrize("machine_name", MACHINES)

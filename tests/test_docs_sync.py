@@ -73,7 +73,6 @@ class TestObservabilityDocumented:
         "search.evaluate",
         "search.cache",
         "search.predict",
-        "search.chunk",
         "search.strategy",
         "sim.simulate",
         "sim.fixed_point",
