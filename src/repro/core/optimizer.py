@@ -20,16 +20,20 @@ as the golden reference (``tests/search/test_golden_equivalence.py``).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from repro.core.description import WorkloadDescription
 from repro.core.placement import Placement
 from repro.core.predictor import PandiaPredictor, Prediction
 from repro.errors import PredictionError
-from repro.search.engine import RankedPlacement, SearchEngine
+
+# repro.search imports repro.core, so the functions below import the
+# search engine when they run: at module level, a first import of
+# repro.search would come back here and find repro.search half built.
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.search.engine import RankedPlacement, SearchEngine
 
 __all__ = [
-    "RankedPlacement",
     "rank_placements",
     "rank_placements_serial",
     "best_placement",
@@ -65,6 +69,8 @@ def rank_placements(
     """
     _require_placements(predictor, workload, placements)
     if engine is None:
+        from repro.search.engine import SearchEngine
+
         engine = SearchEngine.shared(predictor)
     return engine.rank(workload, placements)
 
@@ -79,6 +85,8 @@ def rank_placements_serial(
     Reference implementation for the golden-equivalence tests and the
     ``bench_search`` baseline; prefer :func:`rank_placements`.
     """
+    from repro.search.engine import RankedPlacement
+
     _require_placements(predictor, workload, placements)
     ranked = [
         RankedPlacement(pl, predictor.predict(workload, pl)) for pl in placements

@@ -1152,11 +1152,20 @@ class PandiaPredictor:
         """Load/capacity of each resource *placement* touches with every
         thread fully busy (``f = 1``): Section 4.2's no-contention test
         for Run 2's thread count."""
-        population = _Population(self, [[(workload, placement)]])
-        (loads,), (caps,) = population.resource_dicts(
-            population.valid.astype(float)
-        )
-        return {key: load / caps[key] for key, load in loads.items()}
+        (ratios,) = self._full_load_ratios(workload, [placement])
+        return ratios
+
+    def _full_load_ratios(
+        self, workload: WorkloadDescription, placements: Sequence[Placement]
+    ) -> List[Dict[ResourceKey, float]]:
+        """:meth:`full_load_ratios` of every placement, one row each of
+        one population; rows are independent bit for bit."""
+        population = _Population(self, [[(workload, p)] for p in placements])
+        loads, caps = population.resource_dicts(population.valid.astype(float))
+        return [
+            {key: load / row_caps[key] for key, load in row_loads.items()}
+            for row_loads, row_caps in zip(loads, caps)
+        ]
 
     # -- the kernel --------------------------------------------------------
 

@@ -40,7 +40,6 @@ from repro.core.description import WorkloadDescription
 from repro.core.placement import Placement
 from repro.core.predictor import PandiaPredictor
 from repro.errors import ReproError
-from repro.io.prediction_store import fingerprint_digest, machine_digest
 from repro.rack.model import Assignment, Rack, RackMachine, RackSchedule
 from repro.rack.occupancy import FleetOccupancy
 from repro.search.canonical import workload_fingerprint
@@ -472,6 +471,10 @@ class RackScheduler:
         one profiled description share records) plus its concrete
         thread ids, in a canonical job order.
         """
+        # Imported here, where a store is in use: at module level it
+        # would load repro.io (and OpenSSL) into every session.
+        from repro.io.prediction_store import fingerprint_digest, machine_digest
+
         m_digest = self._machine_digests.get(machine_name)
         if m_digest is None:
             m_digest = self._machine_digests[machine_name] = machine_digest(

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -70,6 +70,19 @@ class ThreadInfo:
     dram_traffic_per_node: Dict[int, float]
     link_traffic: Dict[Tuple[int, int], float]
     io_traffic: float = 0.0
+
+
+class _SocketFacts(NamedTuple):
+    """The facts every thread of one job on one socket shares.  The
+    dictionaries go to each of those threads' :class:`ThreadInfo`, so
+    they are never mutated."""
+
+    stretch: float
+    #: Standalone limit before the core-sharing and stretch divisions.
+    limit: float
+    cache_traffic: Dict[str, float]
+    dram_per_node: Dict[int, float]
+    link_traffic: Dict[Tuple[int, int], float]
 
 
 def llc_spill_fraction(
@@ -247,44 +260,28 @@ class DemandModel:
             for tid in tids:
                 core_id = topo.hw_thread(tid).core_id
                 core_occupancy[core_id] = core_occupancy.get(core_id, 0) + 1
+        #: Per job, the positions of its active threads in ``threads``:
+        #: one contiguous run per job, in job order.
+        self.job_threads: List[slice] = []
         for j, (job, tids) in enumerate(zip(self.jobs, active_sets)):
             spec = job.spec
-            sockets = [topo.socket_of_thread(t) for t in tids]
-            # A thread's DRAM shares depend only on its socket.
-            shares_by_socket: Dict[int, Dict[int, float]] = {}
-            for i, tid in enumerate(tids):
-                hw = topo.hw_thread(tid)
-                freq = self.frequencies[hw.socket_id]
-                remote_peers = len(sockets) - sockets.count(hw.socket_id)
-                stretch = 1.0 + spec.comm_fraction * remote_peers
-                # Spilled LLC lines still traverse the L3 link (they are
-                # misses fetched through the cache); the spill only adds
-                # DRAM traffic.
-                phi = spill.get(hw.socket_id, 0.0)
-                dram_eff = spec.dram_bpi + spec.l3_bpi * phi
-                shares = shares_by_socket.get(hw.socket_id)
-                if shares is None:
-                    shares = shares_by_socket[hw.socket_id] = memory_shares(
-                        spec, topo, job.hw_thread_ids, hw.socket_id
-                    )
-                dram_per_node = {n: dram_eff * sh for n, sh in shares.items()}
-                link_traffic: Dict[Tuple[int, int], float] = {}
-                for node, traffic in dram_per_node.items():
-                    if node != hw.socket_id and traffic > 0:
-                        key = topo.link_between(hw.socket_id, node)
-                        link_traffic[key] = link_traffic.get(key, 0.0) + traffic
-                if spec.io_bpi > 0 and self.machine.nic_gbs <= 0:
-                    raise SimulationError(
-                        f"{spec.name} performs I/O but {self.machine.name} "
-                        f"models no off-machine link (nic_gbs=0)"
-                    )
-                cache_traffic = {"L1": spec.l1_bpi, "L2": spec.l2_bpi, "L3": spec.l3_bpi}
-                limit = self._solo_limit(spec, freq, cache_traffic, dram_per_node)
+            hws = [topo.hw_thread(t) for t in tids]
+            sockets = [hw.socket_id for hw in hws]
+            # Every fact about a thread but its core's occupancy depends
+            # only on its socket: build them once per socket of the job.
+            by_socket = {
+                s: self._socket_facts(job, s, len(sockets) - sockets.count(s), spill)
+                for s in dict.fromkeys(sockets)
+            }
+            self.job_threads.append(slice(len(threads), len(threads) + len(tids)))
+            for i, (tid, hw) in enumerate(zip(tids, hws)):
+                facts = by_socket[hw.socket_id]
+                limit = facts.limit
                 # Sharing a core costs each thread some standalone speed
                 # (front-end arbitration), beyond the aggregate limit.
                 if core_occupancy[hw.core_id] > 1:
                     limit /= 1.0 + self.machine.smt_per_thread_slowdown
-                limit /= stretch
+                limit /= facts.stretch
                 if limit <= 0:
                     raise SimulationError(
                         f"job {j} ({spec.name}) thread {i} on hw thread {tid} "
@@ -299,15 +296,47 @@ class DemandModel:
                         core_id=hw.core_id,
                         socket_id=hw.socket_id,
                         limit=limit,
-                        comm_stretch=stretch,
+                        comm_stretch=facts.stretch,
                         duty=spec.burst_duty,
-                        cache_traffic=cache_traffic,
-                        dram_traffic_per_node=dram_per_node,
-                        link_traffic=link_traffic,
+                        cache_traffic=facts.cache_traffic,
+                        dram_traffic_per_node=facts.dram_per_node,
+                        link_traffic=facts.link_traffic,
                         io_traffic=spec.io_bpi,
                     )
                 )
         return threads
+
+    def _socket_facts(
+        self,
+        job: JobSpecOnMachine,
+        socket: int,
+        remote_peers: int,
+        spill: Mapping[int, float],
+    ) -> _SocketFacts:
+        """What every thread of *job* on *socket* shares."""
+        spec, topo = job.spec, self.machine.topology
+        stretch = 1.0 + spec.comm_fraction * remote_peers
+        # Spilled LLC lines still traverse the L3 link (they are misses
+        # fetched through the cache); the spill only adds DRAM traffic.
+        phi = spill.get(socket, 0.0)
+        dram_eff = spec.dram_bpi + spec.l3_bpi * phi
+        shares = memory_shares(spec, topo, job.hw_thread_ids, socket)
+        dram_per_node = {n: dram_eff * sh for n, sh in shares.items()}
+        link_traffic: Dict[Tuple[int, int], float] = {}
+        for node, traffic in dram_per_node.items():
+            if node != socket and traffic > 0:
+                key = topo.link_between(socket, node)
+                link_traffic[key] = link_traffic.get(key, 0.0) + traffic
+        if spec.io_bpi > 0 and self.machine.nic_gbs <= 0:
+            raise SimulationError(
+                f"{spec.name} performs I/O but {self.machine.name} "
+                f"models no off-machine link (nic_gbs=0)"
+            )
+        cache_traffic = {"L1": spec.l1_bpi, "L2": spec.l2_bpi, "L3": spec.l3_bpi}
+        limit = self._solo_limit(
+            spec, self.frequencies[socket], cache_traffic, dram_per_node
+        )
+        return _SocketFacts(stretch, limit, cache_traffic, dram_per_node, link_traffic)
 
     def _solo_limit(
         self,
@@ -405,14 +434,12 @@ class DemandModel:
                 rows[pos][idx] = rows[pos].get(idx, 0.0) + t.io_traffic
 
         m = len(capacities)
-        coeffs = np.zeros((n, m))
         pair_thread: List[int] = []
         pair_resource: List[int] = []
         pair_coeff: List[float] = []
         resource_pairs: List[List[int]] = [[] for _ in range(m)]
         for pos, row in enumerate(rows):
             for idx, value in row.items():
-                coeffs[pos, idx] = value
                 resource_pairs[idx].append(len(pair_thread))
                 pair_thread.append(pos)
                 pair_resource.append(idx)
@@ -421,16 +448,29 @@ class DemandModel:
         self.capacities = np.array(capacities)
         #: Load above which a resource is saturated (the solver's test).
         self.saturation = self.capacities * (1.0 + 1e-9)
-        self.coeffs = coeffs
         # The non-zero coefficients as (thread, resource, coefficient)
         # triples in thread order, so a sequential per-resource sum
         # over them adds each resource's users in thread order.
         self.pair_thread = np.array(pair_thread, dtype=np.intp)
         self.pair_resource = np.array(pair_resource, dtype=np.intp)
         self.pair_coeff = np.array(pair_coeff)
+        self.coeffs = np.zeros((n, m))
+        self.coeffs[self.pair_thread, self.pair_resource] = self.pair_coeff
         #: Per resource, the positions of its users' triples (thread order).
         self.resource_pairs = [tuple(pairs) for pairs in resource_pairs]
+        #: ``pair_thread`` and ``capacities`` as lists, for the solver's
+        #: per-resource water-fill.
+        self.pair_thread_list = pair_thread
+        self.capacity_list = capacities
         self.limits = np.array([t.limit for t in threads])
+        #: Whether a resource saturates with every thread fully busy at
+        #: its standalone limit: the solver's first test at utilisation
+        #: 1.  When none does, the solve at any utilisation <= 1 never
+        #: meets a saturated resource and returns the limits.
+        full_loads = np.bincount(
+            self.pair_resource, self.limits[self.pair_thread] * self.pair_coeff, m
+        )
+        self.saturates = bool((full_loads > self.saturation).any())
 
     @property
     def n_threads(self) -> int:

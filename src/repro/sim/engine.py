@@ -167,12 +167,11 @@ def _solve_rates(
         return rate, 0
     threads, resources, coeffs = model.pair_thread, model.pair_resource, model.pair_coeff
     saturation, resource_pairs = model.saturation, model.resource_pairs
+    thread_of, capacities = model.pair_thread_list, model.capacity_list
     scaled = np.maximum(utilisation, 1e-9)
     # A grant's bound divides by its user's scaled coefficient, fixed
     # for the whole solve.
     denominators = (scaled[threads] * coeffs).tolist()
-    thread_of = threads.tolist()
-    capacities = model.capacities.tolist()
     iterations = 0
     for iterations in range(1, opts.inner_max_iters + 1):
         traffic = (scaled * rate)[threads] * coeffs
@@ -262,11 +261,6 @@ def simulate(
                 turbo_enabled=opts.turbo_enabled,
             )
 
-        # Positions of each job's active threads within the model arrays.
-        positions: List[List[int]] = [[] for _ in jobs]
-        for pos, tinfo in enumerate(model.threads):
-            positions[tinfo.job_index].append(pos)
-
         n = model.n_threads
         utilisation = np.ones(n)
         rates, inner_iters = _solve_rates(model, utilisation, opts)
@@ -278,16 +272,20 @@ def simulate(
             with obs.span("sim.fixed_point", threads=n) as fp_span:
                 for outer_iters in range(1, opts.outer_max_iters + 1):
                     # The first pass runs at utilisation 1: the rates
-                    # solved above.
-                    if outer_iters > 1:
-                        rates, iters = _solve_rates(model, utilisation, opts)
-                        inner_iters += iters
-                    new_util = utilisation.copy()
-                    for j in foreground_jobs:
-                        pos = positions[j]
-                        timing = _job_timing(jobs[j].spec, rates[pos])
-                        timings[j] = timing
-                        new_util[pos] = timing.utilisation
+                    # solved above.  A later pass re-solves and re-times
+                    # only if a resource saturates at utilisation 1;
+                    # otherwise it would get the same rates and timings
+                    # (docs/substrate.md), so it keeps the first pass's.
+                    if outer_iters == 1 or model.saturates:
+                        if outer_iters > 1:
+                            rates, iters = _solve_rates(model, utilisation, opts)
+                            inner_iters += iters
+                        new_util = utilisation.copy()
+                        for j in foreground_jobs:
+                            threads = model.job_threads[j]
+                            timing = _job_timing(jobs[j].spec, rates[threads])
+                            timings[j] = timing
+                            new_util[threads] = timing.utilisation
                     change = float(np.max(np.abs(new_util - utilisation)))
                     utilisation = 0.5 * (utilisation + new_util)
                     if change < opts.outer_tolerance:
@@ -300,9 +298,7 @@ def simulate(
                     )
 
         with obs.span("sim.collect"):
-            job_results = _collect_results(
-                machine, jobs, model, positions, rates, utilisation, timings, opts
-            )
+            job_results = _collect_results(machine, jobs, model, rates, timings, opts)
         if sim_span is not None:
             sim_span.attrs["outer_iterations"] = outer_iters
             obs.metrics().histogram("sim.inner_iterations").observe(inner_iters)
@@ -323,17 +319,15 @@ def _collect_results(
     machine: MachineSpec,
     jobs: Sequence[Job],
     model: DemandModel,
-    positions: List[List[int]],
     rates: np.ndarray,
-    utilisation: np.ndarray,
     timings: Dict[int, _JobTiming],
     opts: SimOptions,
 ) -> List[JobResult]:
     results: List[JobResult] = []
     for j, job in enumerate(jobs):
-        pos = positions[j]
-        infos = [model.threads[p] for p in pos]
-        job_rates = rates[pos] if pos else np.zeros(0)
+        threads = model.job_threads[j]
+        infos = model.threads[threads]
+        job_rates = rates[threads]
 
         if job.background:
             window = opts.measurement_window_s

@@ -38,9 +38,15 @@ class ScheduledJob:
     def __post_init__(self) -> None:
         object.__setattr__(self, "hw_thread_ids", tuple(self.hw_thread_ids))
         if self.arrival_s < 0:
-            raise SimulationError("arrival time cannot be negative")
+            raise SimulationError(
+                f"{self.spec.name}: arrival time cannot be negative, "
+                f"got {self.arrival_s!r} s"
+            )
         if self.spec.background:
-            raise SimulationError("event simulation takes foreground jobs only")
+            raise SimulationError(
+                f"{self.spec.name} is a background job; event simulation "
+                f"takes foreground jobs only"
+            )
 
 
 @dataclass
@@ -65,6 +71,7 @@ class TimelineSimResult:
 
     results: Dict[str, EventedJobResult] = field(default_factory=dict)
     events: List[float] = field(default_factory=list)
+    machine_name: str = "an unnamed machine"
 
     def result_for(self, name: str) -> EventedJobResult:
         try:
@@ -75,7 +82,10 @@ class TimelineSimResult:
     @property
     def makespan_s(self) -> float:
         if not self.results:
-            raise SimulationError("empty timeline simulation")
+            raise SimulationError(
+                f"timeline simulation on {self.machine_name} ran no jobs, "
+                f"so it has no makespan"
+            )
         return max(r.end_s for r in self.results.values())
 
 
@@ -115,7 +125,9 @@ def simulate_timeline(
     """
     opts = options or SimOptions()
     if not jobs:
-        raise SimulationError("no jobs to simulate")
+        raise SimulationError(
+            f"simulate_timeline() on {machine.name} needs at least one job"
+        )
     names = [j.spec.name for j in jobs]
     if len(set(names)) != len(names):
         raise SimulationError(f"duplicate job names: {names}")
@@ -123,7 +135,7 @@ def simulate_timeline(
     pending = sorted(jobs, key=lambda j: j.arrival_s)
     active: List[ScheduledJob] = []
     remaining: Dict[str, float] = {}
-    out = TimelineSimResult()
+    out = TimelineSimResult(machine_name=machine.name)
     now = 0.0
 
     while pending or active:

@@ -126,7 +126,9 @@ def master_worker(
     workers share the rest with the original spec's behaviour.
     """
     if not 0.0 < master_fraction < 1.0:
-        raise SimulationError("master fraction must be in (0, 1)")
+        raise SimulationError(
+            f"{name}: master fraction must be in (0, 1), got {master_fraction!r}"
+        )
     master = worker_spec.with_(
         name=f"{name}/master",
         work_ginstr=worker_spec.work_ginstr * master_fraction,

@@ -9,14 +9,16 @@ realistic scatter across placements.
 
 from __future__ import annotations
 
-import hashlib
 import struct
 from dataclasses import dataclass
 
 
-
 def _unit_uniform(material: str) -> float:
     """Map a string to a uniform value in [0, 1) via SHA-256."""
+    # Imported on the first noisy draw: hashlib loads OpenSSL, which a
+    # noise-free run never needs.
+    import hashlib
+
     digest = hashlib.sha256(material.encode("utf-8")).digest()
     (value,) = struct.unpack(">Q", digest[:8])
     return value / float(1 << 64)

@@ -78,10 +78,16 @@ class SimulatedOS:
         This is the Run-3 placement (inter-socket latency measurement).
         """
         if n_threads % 2:
-            raise PlacementError("split placement requires an even thread count")
+            raise PlacementError(
+                f"split placement on {self.machine.name} requires an even "
+                f"thread count, got {n_threads}"
+            )
         topo = self.topology
         if topo.n_sockets < 2:
-            raise PlacementError("split placement requires at least two sockets")
+            raise PlacementError(
+                f"split placement of {n_threads} threads requires at least two "
+                f"sockets; {self.machine.name} has {topo.n_sockets}"
+            )
         half = n_threads // 2
         first = self.one_thread_per_core(half, sockets=[0])
         second = self.one_thread_per_core(half, sockets=[1])

@@ -11,7 +11,13 @@ stressors -- and checks:
 * ``_solve_rates`` returns exactly the oracle's rates at any
   utilisation in [1e-6, 1];
 * ``simulate`` returns exactly the same results with the oracle swapped
-  in (times, rates, counters, resource loads, outer iterations).
+  in (times, rates, counters, resource loads, outer iterations);
+* ``simulate`` returns a ``SimResult`` equal under ``==`` to the oracle
+  ``simulate``, which re-solves and re-times in every outer pass: the
+  skip of those passes when nothing saturates at utilisation 1 changes
+  no bit.  Two pinned cases cover a co-run that never saturates (the
+  skip runs) and one that saturates only at utilisation 1 (it must
+  not).
 """
 
 import numpy as np
@@ -162,3 +168,55 @@ class TestPinnedCases:
         assert iterations == 1
         _assert_solve_matches(model, np.ones(1))
         _assert_simulate_matches(fig3, jobs, QUIET)
+
+
+@settings(max_examples=40, deadline=None)
+@given(run=co_runs(), opts=st.sampled_from([QUIET, NOISY]))
+def test_simulate_equals_the_reference_simulate(run, opts):
+    machine, jobs = run
+    assert simulate(machine, jobs, opts) == reference_sim.simulate(machine, jobs, opts)
+
+
+def _solves(monkeypatch):
+    """Count the engine's contention solves."""
+    calls = []
+    solve = engine._solve_rates
+
+    def counted(model, utilisation, opts):
+        calls.append(1)
+        return solve(model, utilisation, opts)
+
+    monkeypatch.setattr(engine, "_solve_rates", counted)
+    return calls
+
+
+class TestOuterPasses:
+    def test_co_run_that_never_saturates(self, monkeypatch):
+        """Nothing saturates at utilisation 1: one solve, reused."""
+        testbox = machines.get("TESTBOX")
+        jobs = [Job(catalog.get("MD"), (0, 1, 2, 3)), Job(catalog.get("EP"), (4, 5))]
+        assert not _model(testbox, jobs).saturates
+        want = reference_sim.simulate(testbox, jobs, QUIET)
+        calls = _solves(monkeypatch)
+        got = simulate(testbox, jobs, QUIET)
+        assert got.outer_iterations > 2
+        assert len(calls) == 1
+        assert got == want
+
+    def test_saturates_only_at_full_utilisation(self, monkeypatch):
+        """A resource saturates at utilisation 1 but not at the fixed
+        point: every pass must re-solve, or the first pass's throttled
+        rates would stand."""
+        testbox = machines.get("TESTBOX")
+        jobs = [Job(catalog.get("Apsi"), (0, 1, 2, 3))]
+        assert _model(testbox, jobs).saturates
+        want = reference_sim.simulate(testbox, jobs, QUIET)
+        calls = _solves(monkeypatch)
+        got = simulate(testbox, jobs, QUIET)
+        caps = got.resource_capacities
+        assert all(
+            load <= caps[key] * (1.0 + 1e-9) for key, load in got.resource_loads.items()
+        )
+        assert got.outer_iterations > 2
+        assert len(calls) == got.outer_iterations
+        assert got == want
