@@ -21,8 +21,6 @@ Subcommands mirror the library's workflow:
   and a flamegraph from a span log.
 * ``dashboard X2-4 MD --out dash.html`` — run a short traced session
   and render the self-contained HTML ops dashboard.
-* ``bench check`` / ``bench record`` — the benchmark-regression
-  sentinel over the committed ``BENCH_*.json``.
 * ``lint src/repro`` — statically check the codebase's determinism,
   golden-purity and observability contracts against the committed
   baseline (see ``docs/lint.md``).
@@ -187,8 +185,8 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     elif args.strategy == "surrogate":
         if not args.surrogate_model:
             raise ReproError(
-                "--strategy surrogate needs --surrogate-model "
-                "(train one with: pandia surrogate train)"
+                f"optimize {args.machine} {args.workload}: --strategy surrogate "
+                "needs --surrogate-model (train one with: pandia surrogate train)"
             )
         strategy = SurrogateStrategy(
             model_path=args.surrogate_model,
@@ -522,42 +520,6 @@ def cmd_dashboard(args: argparse.Namespace) -> int:
     print(
         f"wrote dashboard to {out} "
         f"({len(spans)} spans, {len(series)} series)"
-    )
-    return 0
-
-
-def cmd_bench_check(args: argparse.Namespace) -> int:
-    """Fail (exit 1) when a headline metric regressed vs. the history."""
-    from repro.obs import bench
-
-    report = bench.check(root=args.root, history_path=args.history)
-    if args.json:
-        print(report.to_json())
-    else:
-        print(report.summary())
-    return 0 if report.ok else 1
-
-
-def cmd_bench_record(args: argparse.Namespace) -> int:
-    """Append the current headline values to ``BENCH_HISTORY.jsonl``."""
-    from pathlib import Path
-
-    from repro.obs import bench
-
-    values = bench.read_headline_values(args.root)
-    if not any(v is not None for v in values.values()):
-        raise ReproError(
-            f"no BENCH_*.json headline values found under {args.root!r}; "
-            f"nothing to record"
-        )
-    history = (
-        Path(args.history) if args.history
-        else Path(args.root) / bench.HISTORY_FILE
-    )
-    entry = bench.append_history(history, values, label=args.label)
-    print(
-        f"recorded {len(entry['metrics'])} headline metric(s) as "
-        f"{entry['label']!r} in {history}"
     )
     return 0
 
@@ -912,32 +874,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sample-window", type=float, default=60.0,
                    help="simulated seconds per online sample window")
     p.set_defaults(func=cmd_dashboard)
-
-    p = sub.add_parser(
-        "bench", help="benchmark-regression sentinel over BENCH_*.json"
-    )
-    bench_sub = p.add_subparsers(dest="bench_command", required=True)
-    p = bench_sub.add_parser(
-        "check",
-        help="fail if a headline metric regressed vs BENCH_HISTORY.jsonl",
-    )
-    p.add_argument("--root", default=".",
-                   help="directory holding BENCH_*.json (default: .)")
-    p.add_argument("--history", metavar="FILE",
-                   help="history file (default: ROOT/BENCH_HISTORY.jsonl)")
-    p.add_argument("--json", action="store_true",
-                   help="print the machine-readable JSON report")
-    p.set_defaults(func=cmd_bench_check)
-    p = bench_sub.add_parser(
-        "record", help="append current headline values to the history"
-    )
-    p.add_argument("--root", default=".",
-                   help="directory holding BENCH_*.json (default: .)")
-    p.add_argument("--history", metavar="FILE",
-                   help="history file (default: ROOT/BENCH_HISTORY.jsonl)")
-    p.add_argument("--label", default="",
-                   help="history entry label (default: run-N)")
-    p.set_defaults(func=cmd_bench_record)
 
     p = sub.add_parser(
         "evaluate", help="measured-vs-predicted evaluation for one workload"

@@ -82,8 +82,8 @@ def rank_placements_serial(
 ) -> List[RankedPlacement]:
     """The naive serial loop: no dedup, no cache, no batch kernel.
 
-    Reference implementation for the golden-equivalence tests and the
-    ``bench_search`` baseline; prefer :func:`rank_placements`.
+    Reference implementation for the golden-equivalence tests; prefer
+    :func:`rank_placements`.
     """
     from repro.search.engine import RankedPlacement
 

@@ -79,6 +79,24 @@ BATCH_CELLS = 6144
 #: active-set size (powers of two up to the cell budget).
 ALIVE_BUCKETS = tuple(2 ** e for e in range(0, BATCH_CELLS.bit_length()))
 
+#: Cap on the contraction rate ``rho = delta / last_delta`` of a row's
+#: last two residuals.  A row converges when its residual ``delta`` is
+#: below the tolerance *and* so is ``delta * rho / (1 - rho)``, the
+#: distance to the fixed point left by a geometric tail contracting at
+#: ``rho`` -- that is, ``delta**2 < tolerance * (last_delta - delta)``.
+#: For ``rho <= 0.5`` the bound is at most ``delta`` itself, so fast
+#: rows stop exactly where the plain ``delta < tolerance`` test stopped
+#: them; slowly contracting rows (``rho`` of 0.9 and more, as under the
+#: dampening) iterate on until their result is within the tolerance of
+#: the attractor rather than only their last step.  The cap bounds the
+#: extra iterations: any residual below ``tolerance * (1 - cap) / cap``
+#: converges.
+CONTRACTION_CAP = 0.99
+#: Residual, relative to the row's slowdown cap, at which an iteration
+#: is down to rounding noise: the state can cycle there between a few
+#: neighbouring floats without contracting further, so such a row has
+#: converged as far as float arithmetic allows.
+ROUNDING_FLOOR = 8 * np.finfo(float).eps
 #: Settle iterations between Aitken extrapolation jumps in warm-started
 #: runs.  Three is the minimum history a component-wise delta-squared
 #: step needs; warm trajectories contract geometrically near the
@@ -1396,6 +1414,9 @@ class PandiaPredictor:
         synthetic_prev = False
         f = np.where(a.valid, a.f_init_t, 0.0)
         prev: Optional[np.ndarray] = None
+        # Each row's previous genuine residual; inf until one exists,
+        # which makes its estimated contraction rate 0.
+        last_delta = np.full(pop, np.inf)
         cap: Optional[np.ndarray] = None
         sj, sc, ss = p.seg_job.ravel(), p.seg_core.ravel(), p.seg_sock.ravel()
 
@@ -1467,6 +1488,11 @@ class PandiaPredictor:
             overall = balanced
             if cap is None:
                 cap = _max_along(np.where(a.valid, overall, -np.inf), axis=1)
+                # Residuals below this converge whatever their rate.
+                quiet = np.maximum(
+                    self.tolerance * (1.0 - CONTRACTION_CAP) / CONTRACTION_CAP,
+                    ROUNDING_FLOOR * cap,
+                )
                 if warm is not None:
                     # Warm start: the uniform first iteration fixed the
                     # cold cap; every row now jumps to its mapped seed
@@ -1508,8 +1534,19 @@ class PandiaPredictor:
                 if tel is not None:
                     delta_max = float(delta.max())
                 done = delta < self.tolerance
+                if np.count_nonzero(done):
+                    # ...and so is the tail left at the observed rate
+                    # (see CONTRACTION_CAP).
+                    done &= (
+                        delta * delta < self.tolerance * (last_delta - delta)
+                    ) | (delta < quiet)
                 if synthetic_prev:
+                    # A residual against an injected state is no step of
+                    # the iteration: the next genuine one reads rho = 0.
                     done[:] = False
+                    last_delta = np.full(cur, np.inf)
+                else:
+                    last_delta = delta
                 if np.count_nonzero(done):
                     if tel is not None:
                         retired = int(np.count_nonzero(done))
@@ -1528,8 +1565,9 @@ class PandiaPredictor:
                         break
                     a = a.take(keep)
                     comm_on = comm_on and bool(np.count_nonzero(a.comm_t))
-                    resource, overall, f, cap = (
-                        resource[keep], overall[keep], f[keep], cap[keep]
+                    resource, overall, f, cap, quiet, last_delta = (
+                        resource[keep], overall[keep], f[keep], cap[keep],
+                        quiet[keep], last_delta[keep],
                     )
                     settle_hist = [(hf[keep], ho[keep]) for hf, ho in settle_hist]
                     seg = np.arange(alive.size)[:, None] * J + a.job_of

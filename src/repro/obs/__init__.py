@@ -24,9 +24,8 @@ Reading the results::
 v2 layers ride on these primitives: :mod:`repro.obs.timeseries`
 (periodic registry samples into ring-buffer series, JSONL + Prometheus
 exporters), :mod:`repro.obs.profile` (folded stacks + SVG flamegraphs
-from the span buffer), :mod:`repro.obs.dashboard` (the self-contained
-HTML ops page) and :mod:`repro.obs.bench` (the ``pandia bench check``
-regression sentinel over the committed ``BENCH_*.json``).
+from the span buffer) and :mod:`repro.obs.dashboard` (the
+self-contained HTML ops page).
 """
 
 from __future__ import annotations

@@ -111,11 +111,6 @@ class Tracer:
             stack = self._local.stack = []
         return stack
 
-    def current_id(self) -> Optional[str]:
-        """Id of the innermost open span on this thread, if any."""
-        stack = self._stack()
-        return stack[-1].span_id if stack else None
-
     def start(self, name: str, attrs: Optional[Dict[str, Any]] = None) -> Span:
         """Open a span, parented under this thread's current span."""
         stack = self._stack()

@@ -46,7 +46,7 @@ _COUNTER_FIELDS = (
 _TIME_FIELDS = ("wall_time_s", "strategy_time_s")
 
 #: Gauge recording measured surrogate regret (set only when a caller
-#: has an exact reference to compare against — benchmarks, tests).
+#: has an exact reference to compare against, as the tests do).
 _REGRET_GAUGE = "search.surrogate_regret"
 
 #: Per-evaluation fixed-point iteration histogram: the distribution

@@ -28,7 +28,7 @@ from repro.errors import ModelError
 from repro.surrogate.features import PlacementFeaturizer
 from repro.surrogate.model import SurrogateModel, fit_ridge, fit_stumps
 
-#: Default machines the CLI / benchmark train on — two 2-socket boxes
+#: Default machines the CLI and the tests train on — two 2-socket boxes
 #: plus the 4-socket X2-4, so the model sees both topology regimes.
 DEFAULT_TRAIN_MACHINES: Tuple[str, ...] = ("X3-2", "X4-2", "X2-4")
 DEFAULT_TRAIN_WORKLOADS: Tuple[str, ...] = ("MD", "CG", "EP")
@@ -69,8 +69,8 @@ def train_surrogate(
     """Measure, profile, predict and fit — the full training pipeline.
 
     *descriptions* short-circuits measurement/profiling with
-    pre-computed ``{machine: (md, {workload: wd})}`` pairs (tests and
-    benchmarks reuse their cached setups); otherwise machines come from
+    pre-computed ``{machine: (md, {workload: wd})}`` pairs (tests reuse
+    their cached setups); otherwise machines come from
     the hardware catalog and workloads from the workload catalog,
     simulated under *noise* (``None`` = noise-free).
     """

@@ -112,9 +112,12 @@ def test_failed_setup_closes_its_span(testbox_md):
         CoScheduledWorkload(WORKLOAD, Placement(topo, (1, 2))),
     ]
     obs.enable()
-    with obs.span("caller"):
+    with obs.span("caller") as caller:
         with pytest.raises(PlacementError):
             CoSchedulePredictor(testbox_md).predict(clash)
-        assert obs.tracer().current_id() == obs.tracer().spans()[-1].parent_id
+        failed = obs.tracer().spans()[-1]
+        with obs.span("probe") as probe:
+            pass
+    assert failed.parent_id == probe.parent_id == caller.span_id
     names = [s.name for s in obs.tracer().spans()]
-    assert names == ["coscheduling.predict", "caller"]
+    assert names == ["coscheduling.predict", "probe", "caller"]

@@ -17,6 +17,7 @@ paper, counts only resources a thread sends demand to
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.amdahl import amdahl_speedup
@@ -28,7 +29,13 @@ from repro.core.coscheduling import (
 from repro.core.description import WorkloadDescription
 from repro.core.machine_desc import MachineDescription
 from repro.core.placement import Placement
-from repro.core.predictor import DAMPEN_AFTER, Prediction, ResourceKey
+from repro.core.predictor import (
+    CONTRACTION_CAP,
+    DAMPEN_AFTER,
+    ROUNDING_FLOOR,
+    Prediction,
+    ResourceKey,
+)
 from repro.errors import PlacementError, PredictionError
 from repro.numa import dram_shares
 
@@ -153,6 +160,7 @@ class ReferenceCoSchedulePredictor:
         f_start = [f_initial[t.job] for t in threads]
 
         prev: Optional[List[float]] = None
+        last_delta = math.inf
         cap: Optional[float] = None
         converged = False
         iterations = 0
@@ -200,13 +208,24 @@ class ReferenceCoSchedulePredictor:
 
             if cap is None:
                 cap = max(overall)
+                quiet = max(
+                    self.tolerance * (1.0 - CONTRACTION_CAP) / CONTRACTION_CAP,
+                    ROUNDING_FLOOR * cap,
+                )
             overall = [min(max(s, 1.0), cap) for s in overall]
 
             if prev is not None:
                 delta = max(abs(a - b) for a, b in zip(overall, prev))
-                if delta < self.tolerance:
+                # Converged when the last step is below the tolerance and
+                # so is the distance a geometric tail at the observed
+                # rate still has to go, or the step is below `quiet`.
+                if delta < self.tolerance and (
+                    delta * delta < self.tolerance * (last_delta - delta)
+                    or delta < quiet
+                ):
                     converged = True
                     break
+                last_delta = delta
             prev = list(overall)
 
             ratios = [

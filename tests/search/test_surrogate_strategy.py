@@ -10,6 +10,8 @@ exact search, not degrade silently.
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 
 from repro.core.machine_desc import generate_machine_description
@@ -35,10 +37,21 @@ WORKLOADS = ("MD", "CG", "EP")
 #: guard — the top-k containing the exact best is a property of the
 #: trained model on these spaces, not a structural invariant of *every*
 #: sub-sample (a sample can strip the near-tied optima the full space
-#: has early in surrogate order; full-space regret is gated at <= 1% in
-#: benchmarks/bench_search.py --surrogate).
+#: has early in surrogate order; full-space regret is capped at 1% by
+#: the ``X5-2-full`` case below).
 SPACE_SAMPLE = {"X5-2": (600, 1), "X2-4": (600, 1)}
 RELATIVE_TOL = 1e-9
+#: Regret-guard cases beyond one space per catalog machine, by case id:
+#: (machine, sample or ``None`` for the full canonical space, seed,
+#: regret cap).  Exact search over either space dwarfs the surrogate's
+#: fixed ~224 verifications, so the surrogate must exact-verify at most
+#: a tenth of it: the host-independent form of a >= 10x speedup over
+#: exact search.  The full 18,144-placement X5-2 space has near-tied
+#: optima (measured regret 1.7e-9 on CG), so its cap is 1%.
+LARGE_SPACES = {
+    "X2-4-6000": ("X2-4", 6000, 1, RELATIVE_TOL),
+    "X5-2-full": ("X5-2", None, 0, 0.01),
+}
 
 _CACHE = {}
 
@@ -71,22 +84,33 @@ def model():
     )
 
 
+@functools.lru_cache(maxsize=None)
+def _case(case):
+    """(machine name, search space, regret cap) of one regret-guard case
+    (a catalog machine name or a ``LARGE_SPACES`` id), built once."""
+    sample, seed = SPACE_SAMPLE.get(case, (None, 0))
+    machine_name, sample, seed, cap = LARGE_SPACES.get(
+        case, (case, sample, seed, RELATIVE_TOL)
+    )
+    topology = machines.get(machine_name).topology
+    if sample is None:
+        space = enumerate_canonical(topology)
+    else:
+        space = sample_canonical(topology, sample, seed=seed)
+    return machine_name, tuple(space), cap
+
+
 def _space(spec):
-    if spec.name in SPACE_SAMPLE:
-        sample, seed = SPACE_SAMPLE[spec.name]
-        return sample_canonical(spec.topology, sample, seed=seed)
-    return enumerate_canonical(spec.topology)
+    return _case(spec.name)[1]
 
 
-@pytest.mark.parametrize("machine_name", MACHINES)
+@pytest.mark.parametrize("case", MACHINES + list(LARGE_SPACES))
 @pytest.mark.parametrize("workload_name", WORKLOADS)
 class TestRegretGuard:
-    def test_surrogate_matches_exact_best(
-        self, model, machine_name, workload_name
-    ):
+    def test_surrogate_matches_exact_best(self, model, case, workload_name):
+        machine_name, space, cap = _case(case)
         spec, md, predictor, descriptions = _setup(machine_name)
         workload = descriptions[workload_name]
-        space = _space(spec)
 
         exact_best = min(
             p.predicted_time_s
@@ -98,8 +122,8 @@ class TestRegretGuard:
             stats = engine.stats.snapshot()
 
         regret = result.best_prediction.predicted_time_s / exact_best - 1.0
-        assert abs(regret) <= RELATIVE_TOL, (
-            f"{machine_name}/{workload_name}: regret {regret:.3%} "
+        assert abs(regret) <= cap, (
+            f"{case}/{workload_name}: regret {regret:.3%} "
             f"(fallback: {strategy.fallback_reason})"
         )
         if machine_name in DEFAULT_TRAIN_MACHINES:
@@ -107,6 +131,17 @@ class TestRegretGuard:
             # otherwise this guard only ever tests the fallback.
             assert strategy.fallback_reason is None
             assert stats.surrogate_verified < stats.surrogate_scored
+        if case in LARGE_SPACES:
+            assert stats.surrogate_verified * 10 <= stats.surrogate_scored, (
+                f"{case}/{workload_name}: verified "
+                f"{stats.surrogate_verified} of {stats.surrogate_scored}"
+            )
+
+
+class TestModel:
+    def test_default_model_fits_its_training_data(self, model):
+        # Measured 0.97239; the floor is 0.92.
+        assert model.train_r2 >= 0.92
 
 
 class TestFallback:

@@ -28,7 +28,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.machine_desc import generate_machine_description
@@ -91,6 +91,10 @@ class TestWarmMatchesCold:
 
     @settings(max_examples=3, deadline=None)
     @given(chain_seed=st.integers(min_value=0, max_value=2**31 - 1))
+    # Ends on a CG placement that contracts at ~0.96 per iteration: a
+    # cold run that stopped on its last step alone was 2.3e-12 off the
+    # fixed point on X4-2 (X3-2 and X5-2 CG failed too).
+    @example(chain_seed=470)
     def test_single_move_chain(self, machine_name, workload_name, chain_seed):
         spec, predictor, descriptions = _setup(machine_name)
         workload = descriptions[workload_name]

@@ -86,6 +86,14 @@ class TestOptimize:
         # phases all present in one optimize trace.
         assert {"predictor.iteration", "search.cache", "search.strategy"} <= names
 
+    def test_surrogate_strategy_without_model_names_the_session(self, capsys):
+        assert main([
+            "--noise", "0", "optimize", "TESTBOX", "MD", "--strategy", "surrogate",
+        ]) == 1
+        err = capsys.readouterr().err
+        assert "optimize TESTBOX MD:" in err
+        assert "--surrogate-model" in err
+
 
 class TestCoschedule:
     def test_coschedule_two_workloads(self, capsys):
@@ -258,39 +266,6 @@ class TestDashboard:
         assert html.count('class="sparkline"') >= 3
         assert "online.slowdown" in html
         assert "wrote dashboard" in capsys.readouterr().out
-
-
-class TestBench:
-    def test_check_then_record_then_regress(self, capsys, tmp_path):
-        import json
-        import shutil
-        from pathlib import Path
-
-        repo_root = Path(__file__).resolve().parents[1]
-        for record in repo_root.glob("BENCH_*.json"):
-            shutil.copy(record, tmp_path / record.name)
-        root = str(tmp_path)
-        # No history yet: everything is new, check passes.
-        assert main(["bench", "check", "--root", root]) == 0
-        assert "new" in capsys.readouterr().out
-        # Record a baseline, check passes against it.
-        assert main(["bench", "record", "--root", root, "--label", "seed"]) == 0
-        capsys.readouterr()
-        assert main(["bench", "check", "--root", root]) == 0
-        assert "0 regression(s)" in capsys.readouterr().out
-        # Halve a higher-is-better headline: check now fails, naming it.
-        record = tmp_path / "BENCH_predictor.json"
-        document = json.loads(record.read_text())
-        document["headline"]["speedup"] *= 0.4
-        record.write_text(json.dumps(document))
-        assert main(["bench", "check", "--root", root]) == 1
-        out = capsys.readouterr().out
-        assert "REGRESSION predictor.batch_speedup" in out
-        assert "tolerance" in out
-
-    def test_record_with_no_bench_files_is_an_error(self, capsys, tmp_path):
-        assert main(["bench", "record", "--root", str(tmp_path)]) == 1
-        assert "nothing to record" in capsys.readouterr().err
 
 
 class TestNoiseFlag:
