@@ -195,12 +195,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         )
     else:
         strategy = ExhaustiveStrategy(sample=args.max_placements, seed=0)
-    store = None
-    if args.store:
-        from repro.io import PredictionStore
-
-        store = PredictionStore(args.store)
-    with SearchEngine(predictor, warm_start=args.warm_start, store=store) as engine:
+    with SearchEngine(predictor, warm_start=args.warm_start) as engine:
         result = engine.search(wd, strategy)
         placements = [r.placement for r in result.ranked]  # all cache hits below
         best, best_pred = result.best_placement, result.best_prediction
@@ -378,15 +373,9 @@ def cmd_online(args: argparse.Namespace) -> int:
         raise ReproError(
             f"unknown policy {args.policy!r}; known: {', '.join(policy_names())}"
         )
-    store = None
-    if args.store:
-        from repro.io import PredictionStore
-
-        store = PredictionStore(args.store)
     scheduler = OnlineScheduler(
         rack, policy=args.policy, migrate=args.migrate,
-        hysteresis=args.hysteresis, store=store,
-        surrogate=args.surrogate_model,
+        hysteresis=args.hysteresis,
     )
     recorder = None
     if args.dashboard_out:
@@ -692,9 +681,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--warm-start", action="store_true",
                    help="warm-start refine rounds from the best placement's "
                         "converged state (same results, fewer iterations)")
-    p.add_argument("--store", metavar="DIR",
-                   help="persist predictions under DIR and reuse them on "
-                        "later runs (reported as store hits in --stats)")
     add_trace_flags(p)
     p.set_defaults(func=cmd_optimize)
 
@@ -767,12 +753,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="minimum relative makespan gain to migrate")
     p.add_argument("--json", metavar="PATH",
                    help="write the run record to PATH")
-    p.add_argument("--store", metavar="DIR",
-                   help="persist joint predictions under DIR and reuse them "
-                        "across runs (identical results, fewer predictions)")
-    p.add_argument("--surrogate-model", metavar="PATH",
-                   help="surrogate model used to pre-filter solo estimates "
-                        "(estimates stay exact-verified)")
     p.add_argument("--dashboard-out", metavar="FILE",
                    help="render the standalone HTML ops dashboard for this "
                         "run (time series sampled on the simulated clock)")

@@ -231,7 +231,7 @@ class SeedState:
             f_out[i], o_out[i] = hit
         return f_out, o_out
 
-    # -- serialisation (the prediction store) ---------------------------
+    # -- serialisation ---------------------------------------------------
 
     def to_dict(self) -> Dict[str, object]:
         return {

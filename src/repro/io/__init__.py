@@ -1,13 +1,11 @@
-"""Persistence for machine and workload descriptions, and predictions.
+"""Persistence for machine and workload descriptions, and surrogates.
 
 Machine descriptions are workload-independent and "created once for
 each machine" (Section 3); workload descriptions cost six profiling
 runs (Section 4).  Both are meant to be stored and reused — this
-package provides stable JSON serialisation and a small on-disk store.
-:class:`PredictionStore` additionally persists converged predictions
-(solo and joint) across sessions, keyed by machine digest × workload
-digest × canonical placement key, so repeated searches and online
-re-predictions skip the fixed point entirely.
+package provides stable JSON serialisation and a small on-disk store,
+plus save/load for trained placement surrogates.  Predictions are not
+persisted: the fixed point is cheaper to recompute than to read back.
 """
 
 from repro.io.serialization import (
@@ -15,11 +13,6 @@ from repro.io.serialization import (
     description_to_json,
     machine_description_from_json,
     machine_description_to_json,
-)
-from repro.io.prediction_store import (
-    PredictionStore,
-    fingerprint_digest,
-    machine_digest,
 )
 from repro.io.store import DescriptionStore
 from repro.io.surrogate import load_surrogate, save_surrogate
@@ -30,9 +23,6 @@ __all__ = [
     "machine_description_from_json",
     "machine_description_to_json",
     "DescriptionStore",
-    "PredictionStore",
-    "fingerprint_digest",
-    "machine_digest",
     "load_surrogate",
     "save_surrogate",
 ]

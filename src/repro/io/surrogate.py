@@ -1,12 +1,10 @@
 """Save/load for trained surrogate models.
 
-One model, one JSON file.  Writes are atomic (temp file + rename, the
-same protocol as :mod:`repro.io.prediction_store`); corrupt, truncated
-or wrong-shape files raise :class:`~repro.errors.ModelError` naming the
-offending path.  Unlike prediction-store shards — a cache, where a
-version mismatch silently means "stale" — a surrogate model is an
-explicitly named artifact, so a version or feature-layout mismatch is
-an error telling the user to retrain.
+One model, one JSON file.  Writes are atomic (temp file + rename);
+corrupt, truncated or wrong-shape files raise
+:class:`~repro.errors.ModelError` naming the offending path.  A
+surrogate model is an explicitly named artifact, so a version or
+feature-layout mismatch is an error telling the user to retrain.
 """
 
 from __future__ import annotations

@@ -2,12 +2,12 @@
 
 The fixed-point kernel (``repro.core.predictor``) and the serial ranker
 (``rank_placements_serial`` in ``repro.core.optimizer``) are the golden
-references every newer layer — the search cache, the surrogate
-pre-filter, the prediction store — is equivalence-tested against; the
-kernel itself answers to the plain-Python oracle in
-``tests/reference_kernel.py``.  The moment a golden module imports one
-of those layers the reference stops being independent and the
-equivalence tests test a layer against itself.
+references the newer layers — the search cache and the surrogate
+pre-filter — are equivalence-tested against; the kernel itself answers
+to the plain-Python oracle in ``tests/reference_kernel.py``.  The
+moment a golden module imports one of those layers (or ``repro.io``,
+which loads the surrogate) the reference stops being independent and
+the equivalence tests test a layer against itself.
 
 The check covers *every* import in the module, including lazy
 function-level ones, and resolves relative imports against the

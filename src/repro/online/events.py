@@ -97,7 +97,9 @@ class EventLoop:
 
     def pop(self) -> Event:
         if not self._heap:
-            raise ReproError("event loop is empty")
+            raise ReproError(
+                f"event loop is empty at simulated time {self.now}"
+            )
         _, _, _, event = heapq.heappop(self._heap)
         self.now = event.time_s
         return event

@@ -171,7 +171,9 @@ class PredictedSlowdownPolicy(PlacementPolicy):
     def __init__(self, refinement_rounds: int = 1) -> None:
         super().__init__()
         if refinement_rounds < 0:
-            raise ReproError("refinement_rounds cannot be negative")
+            raise ReproError(
+                f"refinement_rounds cannot be negative, got {refinement_rounds}"
+            )
         self.refinement_rounds = refinement_rounds
 
     def admit(self, fleet, workloads):

@@ -336,19 +336,6 @@ class OnlineScheduler:
         Minimum *relative* predicted-makespan improvement before a
         migration commits (0.1 = move only for a >10% win).  Guards
         against churn from prediction jitter.
-    store:
-        Optional :class:`repro.io.PredictionStore` shared with the
-        decision core: departure re-predictions and candidate scoring
-        reuse joint predictions across events and across sessions.
-        Results are identical with a warm or cold store — the store
-        returns exactly what the predictor computed.
-    surrogate:
-        Optional trained :class:`repro.surrogate.SurrogateModel` (or a
-        path to one saved with :func:`repro.io.save_surrogate`), passed
-        through to the decision core: each admission's solo-reference
-        estimate then exact-verifies only the machine the surrogate
-        ranks fastest instead of the whole fleet.  Estimates stay
-        exact-verified; only the candidate order is learned.
     """
 
     def __init__(
@@ -357,13 +344,11 @@ class OnlineScheduler:
         policy: Union[str, PlacementPolicy] = "predicted-slowdown",
         migrate: bool = False,
         hysteresis: float = 0.1,
-        store=None,
-        surrogate=None,
     ) -> None:
         if hysteresis < 0:
-            raise ReproError("hysteresis cannot be negative")
+            raise ReproError(f"hysteresis cannot be negative, got {hysteresis}")
         self.rack = rack
-        self.core = RackScheduler(rack, store=store, surrogate=surrogate)
+        self.core = RackScheduler(rack)
         self.policy = get_policy(policy) if isinstance(policy, str) else policy
         self.policy.bind(self.core)
         self.migrate = migrate
@@ -456,7 +441,6 @@ class OnlineScheduler:
 
         wall_time = time.perf_counter() - wall_start
         stats.inc("wall_time_s", wall_time)
-        self.core.flush_store()
         makespan = max((e.end_s for e in timeline.entries), default=0.0)
         if recorder is not None:
             # Close the final (partial) window so the last state is

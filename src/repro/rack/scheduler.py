@@ -26,16 +26,10 @@ scheduled identically to an offline batch, which
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro import obs
-from repro.core.coscheduling import (
-    CoSchedulePrediction,
-    CoSchedulePredictor,
-    CoScheduledWorkload,
-    WorkloadOutcome,
-)
+from repro.core.coscheduling import CoSchedulePredictor, CoScheduledWorkload
 from repro.core.description import WorkloadDescription
 from repro.core.placement import Placement
 from repro.core.predictor import PandiaPredictor
@@ -43,7 +37,6 @@ from repro.errors import ReproError
 from repro.rack.model import Assignment, Rack, RackMachine, RackSchedule
 from repro.rack.occupancy import FleetOccupancy
 from repro.search.canonical import workload_fingerprint
-from repro.search.engine import SearchEngine
 
 
 def free_context_placement(
@@ -113,47 +106,14 @@ class RackScheduler:
     #: short jobs to protect an epsilon of makespan.
     MAKESPAN_SLACK = 1e-3
 
-    def __init__(
-        self,
-        rack: Rack,
-        *,
-        store=None,
-        warm_start: bool = False,
-        surrogate=None,
-    ) -> None:
+    def __init__(self, rack: Rack) -> None:
         self.rack = rack
-        self.store = store
-        # A trained repro.surrogate model (or a path to one) pre-ranks
-        # the fleet's machines in solo_estimate so only the likely-best
-        # machine pays the exact fixed point; the estimate returned is
-        # always exact-verified.
-        if isinstance(surrogate, (str, os.PathLike)):
-            from repro.io.surrogate import load_surrogate
-
-            surrogate = load_surrogate(surrogate)
-        self.surrogate = surrogate
         self._joint = {
             m.name: CoSchedulePredictor(m.description) for m in rack.machines
         }
         self._solo = {
             m.name: PandiaPredictor(m.description) for m in rack.machines
         }
-        # Solo estimates go through search engines: racks of identical
-        # nodes and repeated schedule() calls re-ask for the same
-        # (workload, shape) predictions, which the cache absorbs.  The
-        # shared store (if any) carries them across sessions, and
-        # ``warm_start`` lets refine-style evaluations seed from
-        # converged neighbours.
-        self._solo_search = {
-            name: SearchEngine(predictor, store=store, warm_start=warm_start)
-            for name, predictor in self._solo.items()
-        }
-        # Store digests, built lazily: machine digests hash the model
-        # content (a re-measured node invalidates its records), joint
-        # workload digests are name-free so renamed arrival-stream
-        # clones share records.
-        self._machine_digests: Dict[str, str] = {}
-        self._joint_w_digests: Dict[Tuple, str] = {}
         # The solo reference placement depends only on the machine, so
         # build it once per machine instead of once per estimate.
         self._solo_placements = {
@@ -211,7 +171,6 @@ class RackScheduler:
             ],
             predicted_times=predicted_times,
         )
-        self.flush_store()
         return schedule
 
     # -- the shared decision core ----------------------------------------
@@ -316,9 +275,8 @@ class RackScheduler:
                 placement = free_context_placement(machine, occupied, n)
                 if placement is not None:
                     ladder.append((n, placement))
-            joints = self._joint_predict_batch(
-                machine.name,
-                [resident + [CoScheduledWorkload(workload, p)] for _, p in ladder],
+            joints = self._joint[machine.name].predict_batch(
+                [resident + [CoScheduledWorkload(workload, p)] for _, p in ladder]
             )
             for (n, placement), joint in zip(ladder, joints):
                 predictions = {
@@ -354,7 +312,7 @@ class RackScheduler:
         self, machine_name: str, jobs: Sequence[CoScheduledWorkload]
     ):
         """Joint prediction of an explicit co-schedule on one machine."""
-        return self._joint_predict(machine_name, jobs)
+        return self._joint[machine_name].predict(jobs)
 
     def solo_estimate(self, workload: WorkloadDescription) -> float:
         """Predicted solo time on the workload's best single machine.
@@ -367,166 +325,18 @@ class RackScheduler:
         cached = self._solo_estimates.get(memo_key)
         if cached is not None:
             return cached
-        candidates = [
-            machine
-            for machine in self.rack.machines
-            if self._solo_placements[machine.name] is not None
+        times = [
+            self._solo[name].predict(workload, placement).predicted_time_s
+            for name, placement in self._solo_placements.items()
+            if placement is not None
         ]
-        if not candidates:
+        if not times:
             raise ReproError(f"workload {workload.name} fits on no rack machine")
-        if self.surrogate is not None and len(candidates) > 1:
-            candidates = self._surrogate_solo_prefilter(workload, candidates)
-        best = float("inf")
-        for machine in candidates:
-            placement = self._solo_placements[machine.name]
-            engine = self._solo_search[machine.name]
-            best = min(best, engine.best(workload, [placement]).predicted_time_s)
+        best = min(times)
         self._solo_estimates[memo_key] = best
         return best
 
-    def _surrogate_solo_prefilter(
-        self, workload: WorkloadDescription, candidates: List[RackMachine]
-    ) -> List[RackMachine]:
-        """The machine the surrogate expects to host *workload* fastest.
-
-        Each machine's solo reference placement is scored by the
-        surrogate; only the leader pays the exact fixed point.  If any
-        machine's features fall outside the model's confidence envelope
-        the whole fleet is exact-verified instead (counted as a
-        ``surrogate_fallbacks`` on its engine's stats) — the estimate a
-        caller sees is exact-verified either way.
-        """
-        from repro.surrogate.features import PlacementFeaturizer
-
-        scores: List[Tuple[float, int]] = []
-        for i, machine in enumerate(candidates):
-            placement = self._solo_placements[machine.name]
-            featurizer = PlacementFeaturizer(machine.description, workload)
-            X = featurizer.matrix([placement])
-            engine = self._solo_search[machine.name]
-            if self.surrogate.confidence(X) < 0.3:
-                engine.stats.inc("surrogate_fallbacks")
-                return candidates
-            engine.stats.inc("surrogate_scored")
-            scores.append((float(self.surrogate.rank_scores(X)[0]), i))
-        # Scores are log *relative* times; the workload's t1 is the
-        # same description object on every machine, so relative order
-        # equals predicted-seconds order.
-        best_i = min(scores)[1]
-        leader = candidates[best_i]
-        self._solo_search[leader.name].stats.inc("surrogate_verified")
-        return [leader]
-
-    def flush_store(self) -> None:
-        """Persist pending store records (no-op without a store)."""
-        if self.store is not None:
-            self.store.flush()
-
     # -- internals -------------------------------------------------------
-
-    def _joint_predict(
-        self, machine_name: str, jobs: Sequence[CoScheduledWorkload]
-    ) -> CoSchedulePrediction:
-        """One machine's joint prediction, through the store when set.
-        Without a store this is exactly ``CoSchedulePredictor.predict``."""
-        if self.store is None:
-            return self._joint[machine_name].predict(jobs)
-        m_digest, key, entries = record = self._joint_record(machine_name, jobs)
-        prediction = self._stored_joint(record, jobs)
-        if prediction is None:
-            prediction = self._joint[machine_name].predict(jobs)
-            self.store.put_joint(m_digest, key, prediction, entries)
-        return prediction
-
-    def _joint_predict_batch(
-        self,
-        machine_name: str,
-        schedules: Sequence[Sequence[CoScheduledWorkload]],
-    ) -> List[CoSchedulePrediction]:
-        """Joint predictions of many co-schedules on one machine: store
-        lookups per schedule, then one kernel call for the misses."""
-        predictor = self._joint[machine_name]
-        if self.store is None:
-            return predictor.predict_batch(schedules)
-        records = [self._joint_record(machine_name, jobs) for jobs in schedules]
-        out = [
-            self._stored_joint(record, jobs)
-            for record, jobs in zip(records, schedules)
-        ]
-        misses = [i for i, prediction in enumerate(out) if prediction is None]
-        fresh = predictor.predict_batch([schedules[i] for i in misses])
-        for i, prediction in zip(misses, fresh):
-            m_digest, key, entries = records[i]
-            self.store.put_joint(m_digest, key, prediction, entries)
-            out[i] = prediction
-        return out
-
-    def _joint_record(
-        self, machine_name: str, jobs: Sequence[CoScheduledWorkload]
-    ) -> Tuple[str, Tuple, List[int]]:
-        """``(machine digest, record key, job order)`` of a co-schedule.
-
-        Records are keyed name-free — each job contributes its
-        fingerprint digest (name stripped, so arrival-stream clones of
-        one profiled description share records) plus its concrete
-        thread ids, in a canonical job order.
-        """
-        # Imported here, where a store is in use: at module level it
-        # would load repro.io (and OpenSSL) into every session.
-        from repro.io.prediction_store import fingerprint_digest, machine_digest
-
-        m_digest = self._machine_digests.get(machine_name)
-        if m_digest is None:
-            m_digest = self._machine_digests[machine_name] = machine_digest(
-                self.rack.machine(machine_name).description
-            )
-        w_digests = []
-        for job in jobs:
-            nameless = workload_fingerprint(job.description)[1:]
-            digest = self._joint_w_digests.get(nameless)
-            if digest is None:
-                digest = self._joint_w_digests[nameless] = fingerprint_digest(
-                    nameless
-                )
-            w_digests.append(digest)
-        entries = sorted(
-            range(len(jobs)),
-            key=lambda i: (w_digests[i], jobs[i].placement.hw_thread_ids),
-        )
-        key = tuple(
-            (w_digests[i], tuple(jobs[i].placement.hw_thread_ids))
-            for i in entries
-        )
-        return m_digest, key, entries
-
-    def _stored_joint(
-        self,
-        record: Tuple[str, Tuple, List[int]],
-        jobs: Sequence[CoScheduledWorkload],
-    ) -> Optional[CoSchedulePrediction]:
-        """The stored prediction for *record*, its outcomes re-labelled
-        with the requesting jobs' names, or ``None`` on a miss."""
-        m_digest, key, entries = record
-        stored = self.store.get_joint(m_digest, key)
-        if stored is None:
-            return None
-        outcomes: List[Optional[WorkloadOutcome]] = [None] * len(jobs)
-        for pos, i in enumerate(entries):
-            o = stored.outcomes[pos]
-            outcomes[i] = WorkloadOutcome(
-                workload_name=jobs[i].description.name,
-                amdahl=o.amdahl,
-                speedup=o.speedup,
-                predicted_time_s=o.predicted_time_s,
-                slowdowns=o.slowdowns,
-            )
-        return CoSchedulePrediction(
-            outcomes=outcomes,
-            iterations=stored.iterations,
-            converged=stored.converged,
-            resource_loads=stored.resource_loads,
-            resource_capacities=stored.resource_capacities,
-        )
 
     def _replace(
         self,
@@ -554,7 +364,7 @@ class RackScheduler:
         resident = fleet.co_scheduled(machine_name)
         if not resident:
             return
-        joint = self._joint_predict(machine_name, resident)
+        joint = self._joint[machine_name].predict(resident)
         for outcome in joint.outcomes:
             predicted_times[outcome.workload_name] = self._remaining_in(
                 fleet, outcome.workload_name, outcome.predicted_time_s

@@ -99,13 +99,6 @@ class SearchEngine:
         pass seeds to :meth:`evaluate` explicitly).  Results match cold
         runs within the predictor's equivalence tolerance; only the
         iteration count changes.  Off by default.
-    store:
-        An optional :class:`repro.io.PredictionStore`.  Cache misses
-        probe the store before running the predictor, and fresh
-        predictions are written back (flushed on :meth:`close` and
-        after every :meth:`search`), so searches survive across
-        sessions.  Store hits count as cache hits plus ``store_hits``
-        in :class:`~repro.search.stats.SearchStats`.
     warm_min_iterations:
         Seeds whose source converged in fewer iterations are ignored —
         warm-starting cannot beat a fixed point that already stops in
@@ -123,7 +116,6 @@ class SearchEngine:
         *,
         cache_size: int = 65536,
         warm_start: bool = False,
-        store=None,
         warm_min_iterations: int = WARM_MIN_SEED_ITERATIONS,
     ) -> None:
         self.predictor = predictor
@@ -131,9 +123,6 @@ class SearchEngine:
         self.stats = SearchStats()
         self.warm_start = warm_start
         self.warm_min_iterations = warm_min_iterations
-        self.store = store
-        self._machine_digest: Optional[str] = None
-        self._w_digests: Dict[Tuple[Hashable, ...], str] = {}
 
     # -- construction ----------------------------------------------------
 
@@ -188,9 +177,8 @@ class SearchEngine:
         ) as ev_span:
             fingerprint = workload_fingerprint(workload)
             self.stats.inc("requests", len(placements))
-            store_ids = self._store_ids(fingerprint)
 
-            hits = misses = store_hits = 0
+            hits = misses = 0
             lookup_hist = (
                 obs.metrics().histogram("search.cache.lookup_us") if obs_on else None
             )
@@ -199,8 +187,7 @@ class SearchEngine:
             pending: "OrderedDict[Hashable, Placement]" = OrderedDict()
             with obs.span("search.cache") as cache_span:
                 for placement in placements:
-                    ckey = canonical_key(placement)
-                    key = (fingerprint, ckey)
+                    key = (fingerprint, canonical_key(placement))
                     keys.append(key)
                     if key in found or key in pending:
                         hits += 1
@@ -211,13 +198,6 @@ class SearchEngine:
                         lookup_hist.observe((time.perf_counter_ns() - t_probe) / 1e3)
                     else:
                         cached = self.cache.get(key)
-                    if cached is None and store_ids is not None:
-                        cached = self.store.get_prediction(
-                            store_ids[0], store_ids[1], ckey, placement
-                        )
-                        if cached is not None:
-                            store_hits += 1
-                            self.cache.put(key, cached)
                     if cached is not None:
                         hits += 1
                         found[key] = cached
@@ -225,13 +205,9 @@ class SearchEngine:
                         misses += 1
                         pending[key] = placement
                 if cache_span is not None:
-                    cache_span.attrs.update(
-                        hits=hits, misses=misses, store_hits=store_hits
-                    )
+                    cache_span.attrs.update(hits=hits, misses=misses)
             self.stats.inc("cache_hits", hits)
             self.stats.inc("cache_misses", misses)
-            if store_hits:
-                self.stats.inc("store_hits", store_hits)
 
             if pending:
                 with obs.span(
@@ -247,10 +223,6 @@ class SearchEngine:
                 for key, prediction in zip(pending, predictions):
                     found[key] = prediction
                     self.cache.put(key, prediction)
-                    if store_ids is not None:
-                        self.store.put_prediction(
-                            store_ids[0], store_ids[1], key[1], prediction
-                        )
 
             results = [
                 RankedPlacement(placement, found[key])
@@ -340,8 +312,6 @@ class SearchEngine:
         # wall_time_s + strategy_time_s sum to the observed wall time.
         evaluate_time = self.stats.wall_time_s - evaluate_before
         self.stats.inc("strategy_time_s", max(0.0, wall_time - evaluate_time))
-        if self.store is not None:
-            self.store.flush()
         return SearchResult(
             best=ranked_all[0],
             ranked=ranked_all,
@@ -352,16 +322,14 @@ class SearchEngine:
 
     # -- lifecycle -------------------------------------------------------
 
-    def close(self) -> None:
-        """Flush the store, if any."""
-        if self.store is not None:
-            self.store.flush()
+    # An engine holds only memory, so leaving a ``with`` block
+    # releases nothing; the block just marks one session.
 
     def __enter__(self) -> "SearchEngine":
         return self
 
     def __exit__(self, *exc) -> None:
-        self.close()
+        return None
 
     # -- internals -------------------------------------------------------
 
@@ -374,31 +342,6 @@ class SearchEngine:
                 f"description; {type(self.predictor).__name__} has none"
             )
         return topology
-
-    def _store_ids(
-        self, fingerprint: Tuple[Hashable, ...]
-    ) -> Optional[Tuple[str, str]]:
-        """(machine digest, workload digest) for store keys, memoised;
-        ``None`` without a store or machine description."""
-        if self.store is None:
-            return None
-        # Imported here, not at module level: repro.io pulls in
-        # repro.core, whose optimizer imports this module — a top-level
-        # import of repro.io.prediction_store makes `import repro.io`
-        # (as the first repro import of a process) circular.
-        from repro.io.prediction_store import fingerprint_digest, machine_digest
-
-        if self._machine_digest is None:
-            md = getattr(self.predictor, "md", None)
-            if md is None:
-                return None
-            self._machine_digest = machine_digest(md)
-        w_digest = self._w_digests.get(fingerprint)
-        if w_digest is None:
-            w_digest = self._w_digests[fingerprint] = fingerprint_digest(
-                fingerprint
-            )
-        return self._machine_digest, w_digest
 
     def _predict_batch(
         self,

@@ -33,7 +33,6 @@ _COUNTER_FIELDS = (
     "requests",
     "cache_hits",
     "cache_misses",
-    "store_hits",
     "evaluations",
     "warm_seeded",
     "fixed_point_iterations",
@@ -44,10 +43,6 @@ _COUNTER_FIELDS = (
 )
 #: Accumulated-seconds counters.
 _TIME_FIELDS = ("wall_time_s", "strategy_time_s")
-
-#: Gauge recording measured surrogate regret (set only when a caller
-#: has an exact reference to compare against, as the tests do).
-_REGRET_GAUGE = "search.surrogate_regret"
 
 #: Per-evaluation fixed-point iteration histogram: the distribution
 #: behind ``mean_iterations``, percentile-queried by ``report()`` and
@@ -108,10 +103,6 @@ class SearchStats:
         return self._value("cache_misses")
 
     @property
-    def store_hits(self) -> int:  # answered from the persistent store
-        return self._value("store_hits")
-
-    @property
     def evaluations(self) -> int:  # predictor calls actually performed
         return self._value("evaluations")
 
@@ -138,15 +129,6 @@ class SearchStats:
     @property
     def surrogate_fallbacks(self) -> int:  # searches that fell back to exact
         return self._value("surrogate_fallbacks")
-
-    @property
-    def surrogate_regret(self) -> Optional[float]:
-        """Measured regret vs. an exact reference; ``None`` until noted."""
-        return self.metrics.gauge(_REGRET_GAUGE).value
-
-    def note_surrogate_regret(self, regret: float) -> None:
-        """Record measured regret (callers with an exact reference)."""
-        self.metrics.gauge(_REGRET_GAUGE).set(float(regret))
 
     @property
     def surrogate_verify_rate(self) -> float:
@@ -188,7 +170,7 @@ class SearchStats:
         """Fixed-point iterations per predictor evaluation (0 when none ran).
 
         Guarded so zero-evaluation runs — everything answered by the
-        cache, the store or surrogate fallback paths — render 0, never
+        cache or surrogate fallback paths — render 0, never
         a divide-by-zero NaN.
         """
         if self.evaluations == 0:
@@ -209,14 +191,12 @@ class SearchStats:
         """(label, value) rows for text and HTML rendering.
 
         Every rate is zero-guarded: a run with no requests or no
-        evaluations (pure store/surrogate hits) renders finite values
-        throughout — never NaN.
+        evaluations (pure cache hits) renders finite values throughout —
+        never NaN.
         """
-        regret = self.surrogate_regret
         return [
             ("requests", str(self.requests)),
             ("cache hits", f"{self.cache_hits} ({self.hit_rate:.0%})"),
-            ("store hits", str(self.store_hits)),
             (
                 "evaluations",
                 f"{self.evaluations} (dedup ratio {self.dedup_ratio:.0%}, "
@@ -234,8 +214,7 @@ class SearchStats:
                 f"{self.surrogate_scored} scored / "
                 f"{self.surrogate_verified} verified "
                 f"({self.surrogate_verify_rate:.1%}) / "
-                f"{self.surrogate_fallbacks} fallbacks, regret "
-                + (f"{regret:.3%}" if regret is not None else "n/a"),
+                f"{self.surrogate_fallbacks} fallbacks",
             ),
             ("rounds", str(self.rounds)),
             (

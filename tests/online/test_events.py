@@ -52,6 +52,13 @@ class TestEventLoop:
         with pytest.raises(ReproError, match="empty"):
             EventLoop().pop()
 
+    def test_pop_empty_names_the_simulated_time(self):
+        loop = EventLoop()
+        loop.push(Event(7.5, EventKind.ARRIVAL, "a"))
+        loop.pop()
+        with pytest.raises(ReproError, match="simulated time 7.5"):
+            loop.pop()
+
     def test_peek_and_len(self):
         loop = EventLoop()
         assert loop.peek() is None and not loop

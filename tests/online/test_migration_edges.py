@@ -1,18 +1,15 @@
-"""Migration edge cases: zero hysteresis, simultaneous departures, and
-departure re-prediction against a warm prediction store.
+"""Migration edge cases: zero hysteresis and simultaneous departures.
 
 The contract under test: the event loop's migration decisions are a
 pure function of fleet state — so a zero hysteresis bar is legal (any
-predicted gain moves a job), tied jobs finishing at the same instant
-drain deterministically, and wiring a :class:`PredictionStore` under
-the rack core never changes a single decision, only how it is costed.
+predicted gain moves a job), and tied jobs finishing at the same
+instant drain deterministically.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.io import PredictionStore
 from repro.online import OnlineScheduler, replay_trace
 from repro.online.policies import PlacementPolicy
 from repro.rack.model import Assignment
@@ -115,47 +112,4 @@ class TestEqualFinishTies:
         )
         assert [(j.name, j.end_s) for j in first.completed] == [
             (j.name, j.end_s) for j in second.completed
-        ]
-
-
-class TestDepartureRepredictionWithStore:
-    """Departure-triggered re-predictions served from a PredictionStore
-    must be bit-identical to freshly computed ones."""
-
-    def _run(self, rack, pool, store):
-        return OnlineScheduler(
-            rack,
-            policy=_NarrowPacker(),
-            migrate=True,
-            hysteresis=0.1,
-            store=store,
-        ).run(_mixed_trace(pool))
-
-    def test_store_does_not_change_decisions(self, rack, pool, tmp_path):
-        cold = self._run(rack, pool, store=None)
-        store = PredictionStore(tmp_path / "preds")
-        primed = self._run(rack, pool, store=store)
-        # Second run over the same store: every joint re-prediction at
-        # departure time is a store hit.
-        warm = self._run(rack, pool, store=store)
-
-        for other in (primed, warm):
-            assert other.makespan_s == cold.makespan_s
-            assert [(d.kind, d.job_name) for d in other.decisions] == [
-                (d.kind, d.job_name) for d in cold.decisions
-            ]
-            assert [(j.name, j.end_s, j.slowdown) for j in other.completed] == [
-                (j.name, j.end_s, j.slowdown) for j in cold.completed
-            ]
-
-    def test_store_round_trips_across_sessions(self, rack, pool, tmp_path):
-        root = tmp_path / "preds"
-        first = self._run(rack, pool, store=PredictionStore(root))
-        assert any(root.rglob("*.json")), "run must have flushed shards"
-        # A brand-new store instance (fresh process, same directory)
-        # reproduces the run from disk records alone.
-        second = self._run(rack, pool, store=PredictionStore(root))
-        assert second.makespan_s == first.makespan_s
-        assert [(j.name, j.end_s) for j in second.completed] == [
-            (j.name, j.end_s) for j in first.completed
         ]

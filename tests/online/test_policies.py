@@ -50,6 +50,10 @@ class TestRegistry:
         with pytest.raises(ReproError, match="negative"):
             PredictedSlowdownPolicy(refinement_rounds=-1)
 
+    def test_negative_refinement_names_the_value(self):
+        with pytest.raises(ReproError, match="got -3"):
+            PredictedSlowdownPolicy(refinement_rounds=-3)
+
 
 class TestFirstFit:
     def test_takes_all_free_contexts_of_first_machine(self, bound):

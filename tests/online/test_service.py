@@ -77,6 +77,10 @@ class TestRun:
         with pytest.raises(ReproError, match="hysteresis"):
             OnlineScheduler(rack, hysteresis=-0.1)
 
+    def test_negative_hysteresis_names_the_value(self, rack):
+        with pytest.raises(ReproError, match="got -0.25"):
+            OnlineScheduler(rack, hysteresis=-0.25)
+
 
 class TestSimulatedClockSampling:
     def test_recorder_samples_per_simulated_window(self, rack, pool):

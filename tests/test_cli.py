@@ -268,6 +268,31 @@ class TestDashboard:
         assert "wrote dashboard" in capsys.readouterr().out
 
 
+class TestOnline:
+    ARGS = ["online", "TESTBOX", "EP", "Swim", "--jobs", "30"]
+
+    def test_prints_run_and_stats_summaries(self, capsys):
+        assert main(self.ARGS) == 0
+        out = capsys.readouterr().out
+        assert "online run (predicted-slowdown):" in out
+        assert "jobs completed: 30" in out
+        assert "online scheduler stats:" in out
+
+    def test_migrate_exits_zero(self, capsys):
+        assert main(self.ARGS + ["--migrate"]) == 0
+        assert "jobs completed: 30" in capsys.readouterr().out
+
+    def test_json_record_names_the_policy(self, capsys, tmp_path):
+        import json
+
+        path = tmp_path / "run.json"
+        assert main(self.ARGS + ["--policy", "load-balance", "--json", str(path)]) == 0
+        record = json.loads(path.read_text())
+        assert record["policy"] == "load-balance"
+        assert record["n_jobs"] == 30
+        assert f"wrote run record to {path}" in capsys.readouterr().out
+
+
 class TestNoiseFlag:
     def test_noise_flag_changes_measurements(self, capsys):
         main(["--noise", "0.0", "describe-machine", "TESTBOX"])

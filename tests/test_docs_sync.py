@@ -269,16 +269,13 @@ class TestOnlineDocumented:
 
 
 class TestWarmStartDocumented:
-    """docs track the warm-start machinery and the prediction store."""
+    """docs track the warm-start machinery."""
 
     API_TOKENS = (
-        "PredictionStore",
         "SeedState",
         "seed_state()",
         "warm_start",
         "final_f_norm",
-        "machine_digest",
-        "fingerprint_digest",
     )
     MODEL_TOKENS = (
         "Warm-start & delta prediction",
@@ -300,7 +297,6 @@ class TestWarmStartDocumented:
     def test_readme_cross_links(self):
         readme = (REPO / "README.md").read_text()
         assert "--warm-start" in readme
-        assert "--store" in readme
 
     def test_cli_exposes_the_documented_flags(self):
         from repro.cli import build_parser
@@ -309,19 +305,14 @@ class TestWarmStartDocumented:
         subparsers = next(
             a for a in parser._actions if a.__class__.__name__ == "_SubParsersAction"
         )
-        for command, flags in (
-            ("optimize", ("--warm-start", "--store")),
-            ("online", ("--store",)),
-        ):
-            option_strings = {
-                opt
-                for action in subparsers.choices[command]._actions
-                for opt in action.option_strings
-            }
-            for flag in flags:
-                assert flag in option_strings, (
-                    f"{flag} missing from `pandia {command}`"
-                )
+        option_strings = {
+            opt
+            for action in subparsers.choices["optimize"]._actions
+            for opt in action.option_strings
+        }
+        assert "--warm-start" in option_strings, (
+            "--warm-start missing from `pandia optimize`"
+        )
 
     def test_stats_surface_the_telemetry(self):
         # The documented SearchStats warm counters must exist: a rename
@@ -329,11 +320,10 @@ class TestWarmStartDocumented:
         from repro.search.stats import SearchStats
 
         stats = SearchStats()
-        for field in ("store_hits", "warm_seeded", "fixed_point_iterations",
-                      "warm_rate"):
+        for field in ("warm_seeded", "fixed_point_iterations", "warm_rate"):
             assert hasattr(stats, field)
         text = (REPO / "docs" / "api.md").read_text()
-        for field in ("store_hits", "warm_seeded", "fixed_point_iterations"):
+        for field in ("warm_seeded", "fixed_point_iterations"):
             assert field in text, f"{field!r} missing from docs/api.md"
 
 
@@ -447,15 +437,14 @@ class TestSurrogateDocumented:
             a for a in parser._actions if a.__class__.__name__ == "_SubParsersAction"
         )
         assert "surrogate" in subparsers.choices
-        for command in ("optimize", "online"):
-            option_strings = {
-                opt
-                for action in subparsers.choices[command]._actions
-                for opt in action.option_strings
-            }
-            assert "--surrogate-model" in option_strings, (
-                f"--surrogate-model missing from `pandia {command}`"
-            )
+        option_strings = {
+            opt
+            for action in subparsers.choices["optimize"]._actions
+            for opt in action.option_strings
+        }
+        assert "--surrogate-model" in option_strings, (
+            "--surrogate-model missing from `pandia optimize`"
+        )
         strategy_action = next(
             a
             for a in subparsers.choices["optimize"]._actions
@@ -468,8 +457,7 @@ class TestSurrogateDocumented:
 
         stats = SearchStats()
         for field in ("surrogate_scored", "surrogate_verified",
-                      "surrogate_fallbacks", "surrogate_regret",
-                      "surrogate_verify_rate", "note_surrogate_regret"):
+                      "surrogate_fallbacks", "surrogate_verify_rate"):
             assert hasattr(stats, field)
         text = (REPO / "docs" / "api.md").read_text()
         for field in ("surrogate_scored", "surrogate_verified",
