@@ -195,7 +195,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         )
     else:
         strategy = ExhaustiveStrategy(sample=args.max_placements, seed=0)
-    with SearchEngine(predictor, warm_start=args.warm_start) as engine:
+    with SearchEngine(predictor) as engine:
         result = engine.search(wd, strategy)
         placements = [r.placement for r in result.ranked]  # all cache hits below
         best, best_pred = result.best_placement, result.best_prediction
@@ -678,9 +678,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(see: pandia surrogate train)")
     p.add_argument("--stats", action="store_true",
                    help="print search-engine cache/dedup statistics")
-    p.add_argument("--warm-start", action="store_true",
-                   help="warm-start refine rounds from the best placement's "
-                        "converged state (same results, fewer iterations)")
     add_trace_flags(p)
     p.set_defaults(func=cmd_optimize)
 

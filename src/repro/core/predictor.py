@@ -97,198 +97,6 @@ CONTRACTION_CAP = 0.99
 #: neighbouring floats without contracting further, so such a row has
 #: converged as far as float arithmetic allows.
 ROUNDING_FLOOR = 8 * np.finfo(float).eps
-#: Settle iterations between Aitken extrapolation jumps in warm-started
-#: runs.  Three is the minimum history a component-wise delta-squared
-#: step needs; warm trajectories contract geometrically near the
-#: attractor, which is exactly the regime Aitken accelerates.
-AITKEN_CYCLE = 3
-#: Denominator guard for the Aitken step: components whose second
-#: difference is smaller keep their plain iterate (already converged in
-#: that coordinate, or not yet geometric).
-_AITKEN_GUARD = 1e-14
-#: Seeds whose source prediction converged in fewer iterations than
-#: this are not worth warm-starting from: the cold fixed point already
-#: stops in ~2 iterations and a warm run can never beat that (it pays
-#: the same first iteration to reproduce the Section-5.4 cap).  Callers
-#: (the search engine, the rack scheduler) gate on this.
-WARM_MIN_SEED_ITERATIONS = 4
-
-#: One thread's symmetry class within a placement: its socket's shape
-#: (single-thread cores, SMT-dual cores) plus whether the thread shares
-#: its core.  Threads of one class are interchangeable under the
-#: topology's symmetry group, so their converged state is identical —
-#: which is what makes per-class means an exact per-thread transfer.
-ShapeClass = Tuple[Tuple[int, int], bool]
-
-
-def shape_class_keys(placement: Placement) -> List[ShapeClass]:
-    """Per-thread :data:`ShapeClass` keys, in thread order."""
-    topo = placement.topology
-    per_core: Dict[int, int] = {}
-    for t in placement.hw_thread_ids:
-        core = topo.hw_thread(t).core_id
-        per_core[core] = per_core.get(core, 0) + 1
-    ones: Dict[int, int] = {}
-    twos: Dict[int, int] = {}
-    for core, count in per_core.items():
-        socket = topo.core(core).socket_id
-        bucket = twos if count > 1 else ones
-        bucket[socket] = bucket.get(socket, 0) + 1
-    keys: List[ShapeClass] = []
-    for t in placement.hw_thread_ids:
-        hw = topo.hw_thread(t)
-        socket = hw.socket_id
-        keys.append(
-            (
-                (ones.get(socket, 0), twos.get(socket, 0)),
-                per_core[hw.core_id] > 1,
-            )
-        )
-    return keys
-
-
-@dataclass(frozen=True)
-class SeedState:
-    """A converged prediction's iteration state, transferable to
-    neighbouring placements.
-
-    Carries the *trajectory* state of the fixed point at its stopping
-    iteration — the normalised starting utilisation ``f_start /
-    f_initial`` and the clipped overall slowdowns — summarised as one
-    ``(f_norm, overall)`` mean per :data:`ShapeClass`.  Threads within
-    a class are symmetric, so the class mean loses nothing; collapsing
-    to classes is what lets a seed map onto any placement shape (the
-    candidate's threads are matched by class, falling back to the
-    nearest class of the same core-sharing kind, then the global mean).
-
-    Seeding is *advisory*: a warm-started run reproduces the cold
-    reference's Section-5.4 slowdown cap from the same uniform first
-    iteration and applies the identical stopping rule, so any seed —
-    including a completely wrong one — converges to the same fixed
-    point; a good seed only gets there in fewer iterations.
-    """
-
-    classes: Tuple[Tuple[ShapeClass, Tuple[float, float]], ...]
-    mean: Tuple[float, float]
-    iterations: int
-    n_threads: int
-
-    @staticmethod
-    def from_vectors(
-        placement: Placement,
-        f_norm: Sequence[float],
-        overall: Sequence[float],
-        iterations: int,
-    ) -> "SeedState":
-        """Summarise one converged run's state into class means."""
-        sums: Dict[ShapeClass, List[float]] = {}
-        for key, fn, ov in zip(shape_class_keys(placement), f_norm, overall):
-            entry = sums.setdefault(key, [0.0, 0.0, 0.0])
-            entry[0] += float(fn)
-            entry[1] += float(ov)
-            entry[2] += 1.0
-        classes = tuple(
-            (key, (entry[0] / entry[2], entry[1] / entry[2]))
-            for key, entry in sorted(sums.items())
-        )
-        n = max(1, len(list(f_norm)))
-        mean = (
-            float(sum(float(v) for v in f_norm)) / n,
-            float(sum(float(v) for v in overall)) / n,
-        )
-        return SeedState(
-            classes=classes,
-            mean=mean,
-            iterations=int(iterations),
-            n_threads=int(n),
-        )
-
-    def map_to(self, placement: Placement) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-thread ``(f_norm, overall)`` arrays for *placement*.
-
-        Exact class matches transfer their mean; unmatched classes fall
-        back to the nearest stored class with the same core-sharing
-        flag (by socket thread count), then to the global mean.
-        """
-        table = dict(self.classes)
-        keys = shape_class_keys(placement)
-        f_out = np.empty(len(keys))
-        o_out = np.empty(len(keys))
-        for i, key in enumerate(keys):
-            hit = table.get(key)
-            if hit is None:
-                (ones, twos), shared = key
-                weight = ones + 2 * twos
-                nearest = min(
-                    (
-                        (abs(ko + 2 * kt - weight), (ko, kt), value)
-                        for ((ko, kt), ks), value in self.classes
-                        if ks == shared
-                    ),
-                    default=None,
-                )
-                hit = nearest[2] if nearest is not None else self.mean
-            f_out[i], o_out[i] = hit
-        return f_out, o_out
-
-    # -- serialisation ---------------------------------------------------
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "classes": [
-                [[list(shape), shared], list(value)]
-                for (shape, shared), value in self.classes
-            ],
-            "mean": list(self.mean),
-            "iterations": self.iterations,
-            "n_threads": self.n_threads,
-        }
-
-    @staticmethod
-    def from_dict(data: Dict[str, object]) -> "SeedState":
-        classes = tuple(
-            (
-                ((int(shape[0]), int(shape[1])), bool(shared)),
-                (float(value[0]), float(value[1])),
-            )
-            for (shape, shared), value in data["classes"]
-        )
-        mean = (float(data["mean"][0]), float(data["mean"][1]))
-        return SeedState(
-            classes=classes,
-            mean=mean,
-            iterations=int(data["iterations"]),
-            n_threads=int(data["n_threads"]),
-        )
-
-
-def _aitken_jump(
-    history: Sequence[Tuple[np.ndarray, np.ndarray]],
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Component-wise Aitken delta-squared extrapolation of the settle
-    trajectory: from three consecutive ``(f, overall)`` states, jump
-    each coordinate to the limit of its geometric tail.  Guarded —
-    coordinates whose second difference is below :data:`_AITKEN_GUARD`
-    keep their latest plain iterate."""
-    (f0, o0), (f1, o1), (f2, o2) = history
-    d2f = f2 - f1
-    den_f = d2f - (f1 - f0)
-    safe_f = np.abs(den_f) > _AITKEN_GUARD
-    f_jump = np.where(
-        safe_f,
-        f2 - np.where(safe_f, d2f, 0.0) ** 2 / np.where(safe_f, den_f, 1.0),
-        f2,
-    )
-    d2o = o2 - o1
-    den_o = d2o - (o1 - o0)
-    safe_o = np.abs(den_o) > _AITKEN_GUARD
-    o_jump = np.where(
-        safe_o,
-        o2 - np.where(safe_o, d2o, 0.0) ** 2 / np.where(safe_o, den_o, 1.0),
-        o2,
-    )
-    return f_jump, o_jump
-
 
 #: Per-thread vector columns recorded for each traced iteration, in
 #: Figure 7 order.  These remain readable as attributes on
@@ -394,14 +202,12 @@ class OnDemandFields:
 class Prediction(OnDemandFields):
     """Pandia's output for one (workload, machine, placement) triple.
 
-    A kernel-built prediction builds ``slowdowns``, ``utilisations``,
-    ``final_f_norm`` and the resource dictionaries on first read
-    (:class:`OnDemandFields`).
+    A kernel-built prediction builds ``slowdowns``, ``utilisations`` and
+    the resource dictionaries on first read (:class:`OnDemandFields`).
     """
 
     _ON_DEMAND = (
-        "slowdowns", "utilisations", "final_f_norm",
-        "resource_loads", "resource_capacities",
+        "slowdowns", "utilisations", "resource_loads", "resource_capacities",
     )
 
     workload_name: str
@@ -421,28 +227,6 @@ class Prediction(OnDemandFields):
     #: (Section 6.3); this is what co-scheduling builds on.
     resource_loads: Dict[ResourceKey, float] = field(default_factory=dict)
     resource_capacities: Dict[ResourceKey, float] = field(default_factory=dict)
-    #: Normalised starting utilisation ``f_start / f_initial`` at the
-    #: stopping iteration — the trajectory state that, together with
-    #: ``slowdowns``, warm-starts a neighbouring placement's fixed
-    #: point.  ``None`` on predictions rebuilt from records that
-    #: predate warm-starting.
-    final_f_norm: Optional[Tuple[float, ...]] = None
-    _seed_state: Optional["SeedState"] = field(
-        default=None, init=False, repr=False, compare=False
-    )
-
-    def seed_state(self) -> Optional["SeedState"]:
-        """This prediction's converged state as a transferable
-        :class:`SeedState`, or ``None`` when the trajectory state was
-        not recorded.  Cached — search loops call this once per
-        neighbour expansion round."""
-        if self.final_f_norm is None:
-            return None
-        if self._seed_state is None:
-            self._seed_state = SeedState.from_vectors(
-                self.placement, self.final_f_norm, self.slowdowns, self.iterations
-            )
-        return self._seed_state
 
     def resource_utilisation(self) -> Dict[ResourceKey, float]:
         """Predicted load/capacity ratio per resource."""
@@ -478,11 +262,6 @@ class Prediction(OnDemandFields):
     def relative_time(self) -> float:
         """Predicted time relative to the single-thread run (r = 1/speedup)."""
         return 1.0 / self.speedup
-
-
-# A class-level default would shadow __getattr__ for a kernel-built
-# prediction; __init__ keeps its own copy of the default.
-del Prediction.final_f_norm
 
 
 #: One job of a kernel row: a workload pinned to a placement.  A row is
@@ -744,7 +523,9 @@ class _Population:
 
         # DRAM shares per job: a job's traffic interleaves over its own
         # active sockets (one matrix per distinct locality and socket
-        # set); remote shares load the interconnect links.
+        # set); remote shares load the interconnect links.  ``[s, d]``
+        # is the fraction of a socket-s thread's traffic landing on node
+        # d: `lambda` to its own node, the rest interleaved.
         self.has_dram = any(t.dram_bw > 0 for t in temps)
         self.has_io = any(t.params[2] > 0 for t in temps)
         self.share = np.zeros((pop, J, S, S))
@@ -755,10 +536,11 @@ class _Population:
             mats = np.zeros((len(kinds), S, S))
             for (w, bits), i in kinds.items():
                 if temps[w].dram_bw > 0:
-                    mats[i] = predictor._share_matrix(
-                        temps[w].local_fraction,
-                        tuple(s for s in range(S) if bits >> s & 1),
-                    )
+                    active = tuple(s for s in range(S) if bits >> s & 1)
+                    for s in active:
+                        shares = dram_shares(temps[w].local_fraction, s, active)
+                        for node, fraction in shares.items():
+                            mats[i, s, node] = fraction
             self.share[job_row, job_pos] = mats[inverse]
         # The memory resources a thread reaches from its socket: DRAM
         # nodes, by its job's share to each, then interconnect links.
@@ -880,7 +662,6 @@ class _Population:
     def columns(
         self,
         final: np.ndarray,
-        final_f: np.ndarray,
         iterations: np.ndarray,
         converged: np.ndarray,
         trace: List[IterationTrace],
@@ -898,8 +679,8 @@ class _Population:
 
         # Valid threads in row-major order are the jobs' threads in job
         # order, so each row's threads are the next of these columns.
-        final_v, f_init_v = final[valid], f_init_t[valid]
-        threads = np.stack([final_v, f_init_v / final_v, final_f[valid] / f_init_v])
+        final_v = final[valid]
+        threads = np.stack([final_v, f_init_t[valid] / final_v])
         per_row = np.count_nonzero(valid, axis=1)
         row_start = np.cumsum(per_row) - per_row
         job_start = np.cumsum(self.n_job) - self.n_job - row_start[self.job_row]
@@ -922,16 +703,15 @@ class _Population:
 
 
 #: The on-demand fields read from a row's per-thread columns, by column.
-_THREAD_COLUMNS = {"slowdowns": 0, "utilisations": 1, "final_f_norm": 2}
+_THREAD_COLUMNS = {"slowdowns": 0, "utilisations": 1}
 
 
 class _KernelRow:
     """One kernel row's results, from which its fields are built on read.
 
-    ``threads`` is a ``(3, threads)`` view of the row's final slowdowns,
-    utilisations and normalised starting utilisations ``f_start /
-    f_initial``, its jobs side by side.  The resource dictionaries are
-    built at most once, by running the row alone through
+    ``threads`` is a ``(2, threads)`` view of the row's final slowdowns
+    and utilisations, its jobs side by side.  The resource dictionaries
+    are built at most once, by running the row alone through
     :meth:`_Population.resource_dicts`: rows are independent bit for
     bit, so they equal what the whole population would have built.  A
     row keeps its predictor and jobs, never the population.
@@ -998,9 +778,7 @@ class _Telemetry:
     :meth:`close` ends it after the results are packaged.
     """
 
-    def __init__(
-        self, span: str, machine: str, rows: Sequence[Sequence[Job]], seeded: bool
-    ) -> None:
+    def __init__(self, span: str, machine: str, rows: Sequence[Sequence[Job]]) -> None:
         self.tracer = obs.tracer()
         metrics = obs.metrics()
         self.metrics = metrics
@@ -1010,8 +788,6 @@ class _Telemetry:
         self.res_hist = metrics.histogram("predictor.residual", RESIDUAL_BUCKETS)
         self.compactions = metrics.counter("predictor.batch.compactions")
         metrics.counter("predictor.batch.chunks").inc()
-        if seeded:
-            metrics.counter("predictor.warm.predictions").inc(len(rows))
         self.convergence: List[ConvergenceRecord] = []
         self.call_span = self.tracer.start(
             span,
@@ -1021,7 +797,6 @@ class _Telemetry:
                 "population": len(rows),
                 "jobs": sum(map(len, rows)),
                 "threads": max(sum(pl.n_threads for _, pl in row) for row in rows),
-                "seeded": seeded,
             },
         )
 
@@ -1105,7 +880,6 @@ class PandiaPredictor:
         self.tolerance = tolerance
         self._machine = _MachineLayout(machine_description)
         self._templates: Dict[Tuple[Hashable, ...], _DemandTemplate] = {}
-        self._share_cache: Dict[Tuple[float, Tuple[int, ...]], np.ndarray] = {}
 
     # -- public API ------------------------------------------------------
 
@@ -1114,26 +888,16 @@ class PandiaPredictor:
         workload: WorkloadDescription,
         placement: Placement,
         keep_trace: bool = False,
-        seed: Optional[SeedState] = None,
     ) -> Prediction:
         """Predict the performance of *workload* under *placement*.
 
-        When *seed* is given (a neighbouring placement's converged
-        :class:`SeedState`) the fixed point warm-starts: the first
-        iteration still runs from the uniform ``f_initial`` so the
-        Section-5.4 slowdown cap is *identical* to the cold reference's,
-        then the trajectory jumps to the seed's state and the settle
-        iterations are Aitken-accelerated.  The stopping rule and the
-        attractor are unchanged, so the result matches the cold run to
-        within the convergence tolerance — the seed only changes how
-        many iterations it takes to get there.
-
-        With *keep_trace* the prediction carries one
+        The fixed point starts from the uniform ``f_initial`` (Section
+        5.4).  With *keep_trace* the prediction carries one
         :class:`IterationTrace` (the Figure-7 columns) per iteration.
         """
         (row,) = self._solve(
             [[(workload, placement)]], "predictor.predict", self._predictions,
-            seed, keep_trace,
+            keep_trace,
         )
         return row[0]
 
@@ -1141,24 +905,17 @@ class PandiaPredictor:
         self,
         workload: WorkloadDescription,
         placements: Sequence[Placement],
-        seed: Optional[SeedState] = None,
     ) -> List[Prediction]:
         """Predict every placement in vectorised fixed points.
 
         The kernel of :meth:`predict`, over one-job rows in contiguous
         chunks of at most :data:`BATCH_CELLS` padded cells; each
         prediction is bit-identical to :meth:`predict` on its
-        placement, whatever else shares the chunk.  *seed* warm-starts
-        every row from one shared :class:`SeedState`, mapped onto each
-        placement's shape.
+        placement, whatever else shares the chunk.
         """
         rows = [[(workload, p)] for p in placements]
-        return [
-            row[0]
-            for row in self._solve_batch(
-                rows, "predictor.predict_batch", self._predictions, seed
-            )
-        ]
+        solved = self._solve_batch(rows, "predictor.predict_batch", self._predictions)
+        return [row[0] for row in solved]
 
     def predict_time(self, workload: WorkloadDescription, placement: Placement) -> float:
         """Convenience: predicted absolute execution time in seconds."""
@@ -1220,33 +977,11 @@ class PandiaPredictor:
             )
         return template
 
-    def _share_matrix(
-        self, local_fraction: float, active: Tuple[int, ...]
-    ) -> np.ndarray:
-        """DRAM share matrix for one active-socket set, memoised.
-
-        ``mat[s, d]`` is the fraction of a socket-``s`` thread's DRAM
-        traffic that lands on node ``d`` — `lambda` to its own node, the
-        remainder interleaved over the job's active sockets.  Only a
-        handful of active sets exist per machine, so rows reuse these.
-        """
-        key = (local_fraction, active)
-        mat = self._share_cache.get(key)
-        if mat is None:
-            n = self._machine.n_sockets
-            mat = np.zeros((n, n))
-            for s in active:
-                for node, fraction in dram_shares(local_fraction, s, active).items():
-                    mat[s, node] = fraction
-            self._share_cache[key] = mat
-        return mat
-
     def _solve_batch(
         self,
         rows: Sequence[Sequence[Job]],
         span: str,
         package: Callable[[_Columns], List[_Result]],
-        seed: Optional[SeedState] = None,
     ) -> List[_Result]:
         """:meth:`_solve` over *rows* cut, in their order, into
         contiguous runs whose row count times widest row stays within
@@ -1257,10 +992,10 @@ class PandiaPredictor:
         for end, row in enumerate(rows):
             width = sum(placement.n_threads for _, placement in row)
             if end > start and (end - start + 1) * max(widest, width) > BATCH_CELLS:
-                results += self._solve(rows[start:end], span, package, seed)
+                results += self._solve(rows[start:end], span, package)
                 start, widest = end, 0
             widest = max(widest, width)
-        results += self._solve(rows[start:], span, package, seed)
+        results += self._solve(rows[start:], span, package)
         return results
 
     def _solve(
@@ -1268,7 +1003,6 @@ class PandiaPredictor:
         rows: Sequence[Sequence[Job]],
         span: str,
         package: Callable[[_Columns], List[_Result]],
-        seed: Optional[SeedState] = None,
         keep_trace: bool = False,
     ) -> List[_Result]:
         """Figure 8's fixed point over a population of co-schedules.
@@ -1278,22 +1012,15 @@ class PandiaPredictor:
         per row; a row's jobs share its iteration count, convergence
         flag and resource dictionaries.  With obs enabled, the *span*
         covers the population set-up, the fixed point and the
-        packaging.  *seed* and *keep_trace* are for one-job rows
-        (*keep_trace* for one row).
+        packaging.  *keep_trace* is for a one-job, one-row call.
         """
         if not rows:
             return []
         # Telemetry: one hoisted branch; when disabled the loop pays a
         # single `if tel` per iteration and no per-row work.
-        tel = (
-            _Telemetry(span, self.md.machine_name, rows, seed is not None)
-            if obs.enabled()
-            else None
-        )
+        tel = _Telemetry(span, self.md.machine_name, rows) if obs.enabled() else None
         try:
-            return package(
-                self._fixed_point(_Population(self, rows), seed, keep_trace, tel)
-            )
+            return package(self._fixed_point(_Population(self, rows), keep_trace, tel))
         finally:
             if tel is not None:
                 tel.close()
@@ -1301,7 +1028,6 @@ class PandiaPredictor:
     def _fixed_point(
         self,
         p: _Population,
-        seed: Optional[SeedState],
         keep_trace: bool,
         tel: Optional[_Telemetry],
     ) -> _Columns:
@@ -1389,32 +1115,15 @@ class PandiaPredictor:
         # both shares its core and belongs to a bursty job.
         bursty = bool(np.count_nonzero(p.shared & (a.b_t > 0)))
 
-        warm: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        if seed is not None:
-            warm_f = np.zeros((pop, T))
-            warm_o = np.ones((pop, T))
-            for k, ((_, placement),) in enumerate(p.rows):
-                n = placement.n_threads
-                warm_f[k, :n], warm_o[k, :n] = seed.map_to(placement)
-            warm = (warm_f, warm_o)
-
         # -- the fixed point, over the shrinking active set ------------
         alive = np.arange(pop)
         iterations = np.zeros(pop, dtype=np.intp)
         converged = np.zeros(pop, dtype=bool)
         final = np.zeros((pop, T))
-        final_f = np.zeros((pop, T))
         trace: List[IterationTrace] = []
-        settle_hist: List[Tuple[np.ndarray, np.ndarray]] = []
-        # Seed injection and Aitken jumps fire for all live rows at once,
-        # so one flag covers the population: while it is set, prev holds
-        # injected values and no row may retire against them — an
-        # injected overall can coincide with overall(f), both pinned at
-        # the cap, without (f, overall) being a fixed point.
-        synthetic_prev = False
         f = np.where(a.valid, a.f_init_t, 0.0)
         prev: Optional[np.ndarray] = None
-        # Each row's previous genuine residual; inf until one exists,
+        # Each row's previous residual; inf until one exists,
         # which makes its estimated contraction rate 0.
         last_delta = np.full(pop, np.inf)
         cap: Optional[np.ndarray] = None
@@ -1493,28 +1202,6 @@ class PandiaPredictor:
                     self.tolerance * (1.0 - CONTRACTION_CAP) / CONTRACTION_CAP,
                     ROUNDING_FLOOR * cap,
                 )
-                if warm is not None:
-                    # Warm start: the uniform first iteration fixed the
-                    # cold cap; every row now jumps to its mapped seed
-                    # state.  No row can have retired yet.
-                    overall = np.clip(overall, 1.0, cap[:, None])
-                    if keep_trace:
-                        trace.append(
-                            _trace_row(
-                                iteration, math.inf, resource, comm, balance,
-                                overall, f, a.f_init_t,
-                            )
-                        )
-                    prev = np.where(
-                        a.valid, np.clip(warm[1], 1.0, cap[:, None]), overall
-                    )
-                    f = np.where(
-                        a.valid, a.f_init_t * np.clip(warm[0], 0.0, 1.0), 0.0
-                    )
-                    synthetic_prev = True
-                    if tel is not None:
-                        tel.end_iteration(it_span, iteration, cur, math.inf, 0)
-                    continue
             overall = np.minimum(np.maximum(overall, 1.0), cap[:, None])
 
             delta = None
@@ -1540,13 +1227,7 @@ class PandiaPredictor:
                     done &= (
                         delta * delta < self.tolerance * (last_delta - delta)
                     ) | (delta < quiet)
-                if synthetic_prev:
-                    # A residual against an injected state is no step of
-                    # the iteration: the next genuine one reads rho = 0.
-                    done[:] = False
-                    last_delta = np.full(cur, np.inf)
-                else:
-                    last_delta = delta
+                last_delta = delta
                 if np.count_nonzero(done):
                     if tel is not None:
                         retired = int(np.count_nonzero(done))
@@ -1554,7 +1235,6 @@ class PandiaPredictor:
                     iterations[finished] = iteration
                     converged[finished] = True
                     final[finished] = overall[done]
-                    final_f[finished] = f[done]
                     keep = ~done
                     alive = alive[keep]
                     if not alive.size:
@@ -1569,13 +1249,11 @@ class PandiaPredictor:
                         resource[keep], overall[keep], f[keep], cap[keep],
                         quiet[keep], last_delta[keep],
                     )
-                    settle_hist = [(hf[keep], ho[keep]) for hf, ho in settle_hist]
                     seg = np.arange(alive.size)[:, None] * J + a.job_of
                     sj = seg.ravel()
                     sc = (seg * NC + a.core_ids).ravel()
                     ss = (seg * S + a.sock_ids).ravel()
             prev = overall
-            synthetic_prev = False
 
             # Feed the penalty ratio into the next iteration's starting
             # utilisation (Section 5.4), damped after DAMPEN_AFTER.
@@ -1583,28 +1261,13 @@ class PandiaPredictor:
             if iteration > DAMPEN_AFTER:
                 f_next = 0.5 * (f + f_next)
             f = np.where(a.valid, f_next, 0.0)
-            if warm is not None:
-                # Warm settle is Aitken-accelerated: near the attractor
-                # the contraction is geometric, so every AITKEN_CYCLE
-                # iterates a delta-squared jump extrapolates both
-                # trajectories to their limit.  Clipping keeps the jump
-                # inside the iteration's invariants; a bad jump corrects
-                # itself because the plain iteration resumes from it.
-                settle_hist.append((f, overall))
-                if len(settle_hist) == AITKEN_CYCLE:
-                    f_jump, o_jump = _aitken_jump(settle_hist)
-                    f = np.where(a.valid, np.clip(f_jump, 0.0, a.f_init_t), 0.0)
-                    prev = np.clip(o_jump, 1.0, cap[:, None])
-                    synthetic_prev = True
-                    settle_hist = []
             if tel is not None:
                 tel.end_iteration(it_span, iteration, cur, delta_max, retired)
 
         if alive.size:  # stragglers that hit max_iterations
             iterations[alive] = self.max_iterations
             final[alive] = overall
-            final_f[alive] = f
 
         if tel is not None:
             tel.finish(iterations, converged)
-        return p.columns(final, final_f, iterations, converged, trace)
+        return p.columns(final, iterations, converged, trace)

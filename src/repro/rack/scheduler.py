@@ -108,18 +108,22 @@ class RackScheduler:
 
     def __init__(self, rack: Rack) -> None:
         self.rack = rack
-        self._joint = {
-            m.name: CoSchedulePredictor(m.description) for m in rack.machines
-        }
-        self._solo = {
-            m.name: PandiaPredictor(m.description) for m in rack.machines
-        }
-        # The solo reference placement depends only on the machine, so
-        # build it once per machine instead of once per estimate.
-        self._solo_placements = {
-            m.name: free_context_placement(m, set(), m.n_hw_threads // 2 or 1)
-            for m in rack.machines
-        }
+        # A prediction reads only the machine description, and machines
+        # of one type share one description object, so each distinct
+        # description gets one joint predictor, one solo predictor and
+        # one solo reference placement (the rack keeps the descriptions
+        # alive, so their ids stay unique).
+        joint: Dict[int, CoSchedulePredictor] = {}
+        self._solo: Dict[int, Tuple[PandiaPredictor, Optional[Placement]]] = {}
+        for m in rack.machines:
+            key = id(m.description)
+            if key not in joint:
+                joint[key] = CoSchedulePredictor(m.description)
+                self._solo[key] = (
+                    PandiaPredictor(m.description),
+                    free_context_placement(m, set(), m.n_hw_threads // 2 or 1),
+                )
+        self._joint = {m.name: joint[id(m.description)] for m in rack.machines}
         # Arrival streams rename one profiled description per job
         # (job names must be unique); predictions do not read the name,
         # so solo estimates are memoised on the name-free fingerprint.
@@ -317,17 +321,18 @@ class RackScheduler:
     def solo_estimate(self, workload: WorkloadDescription) -> float:
         """Predicted solo time on the workload's best single machine.
 
-        Memoised on the name-free workload fingerprint: an arrival
-        stream of jobs cloned from one profiled description costs one
-        evaluation, not one per job.
+        One prediction per distinct machine description, memoised on the
+        name-free workload fingerprint: an arrival stream of jobs cloned
+        from one profiled description costs one evaluation per
+        description, not one per job and machine.
         """
         memo_key = workload_fingerprint(workload)[1:]
         cached = self._solo_estimates.get(memo_key)
         if cached is not None:
             return cached
         times = [
-            self._solo[name].predict(workload, placement).predicted_time_s
-            for name, placement in self._solo_placements.items()
+            predictor.predict(workload, placement).predicted_time_s
+            for predictor, placement in self._solo.values()
             if placement is not None
         ]
         if not times:

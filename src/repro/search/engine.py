@@ -37,13 +37,13 @@ import time
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Sequence, Tuple
 
 from repro import obs
 
 from repro.core.description import WorkloadDescription
 from repro.core.placement import Placement
-from repro.core.predictor import WARM_MIN_SEED_ITERATIONS, Prediction, SeedState
+from repro.core.predictor import Prediction
 from repro.errors import PredictionError
 from repro.search.cache import PredictionCache
 from repro.search.canonical import canonical_key, workload_fingerprint
@@ -93,36 +93,16 @@ class SearchEngine:
         strategy's topology.
     cache_size:
         LRU capacity in predictions.
-    warm_start:
-        When true, refine-round evaluations warm-start from the current
-        best placement's converged :class:`SeedState` (and callers may
-        pass seeds to :meth:`evaluate` explicitly).  Results match cold
-        runs within the predictor's equivalence tolerance; only the
-        iteration count changes.  Off by default.
-    warm_min_iterations:
-        Seeds whose source converged in fewer iterations are ignored —
-        warm-starting cannot beat a fixed point that already stops in
-        ~2 iterations (the first iteration is always paid to reproduce
-        the cold slowdown cap).
     """
 
     #: Shared per-predictor engines handed out by :meth:`shared`, so the
     #: module-level optimizer helpers reuse one cache per predictor.
     _SHARED: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
-    def __init__(
-        self,
-        predictor,
-        *,
-        cache_size: int = 65536,
-        warm_start: bool = False,
-        warm_min_iterations: int = WARM_MIN_SEED_ITERATIONS,
-    ) -> None:
+    def __init__(self, predictor, *, cache_size: int = 65536) -> None:
         self.predictor = predictor
         self.cache: PredictionCache[Prediction] = PredictionCache(cache_size)
         self.stats = SearchStats()
-        self.warm_start = warm_start
-        self.warm_min_iterations = warm_min_iterations
 
     # -- construction ----------------------------------------------------
 
@@ -153,25 +133,15 @@ class SearchEngine:
         self,
         workload: WorkloadDescription,
         placements: Sequence[Placement],
-        seed: Optional[SeedState] = None,
     ) -> List[RankedPlacement]:
         """Predict every placement, in input order.
 
         Symmetric duplicates within *placements* share one prediction
         (the one computed for the first concrete placement of the
-        class), as do repeats across calls via the cache.  With
-        ``warm_start`` enabled, *seed* warm-starts whatever still needs
-        the predictor — ignored unless its source converged slowly
-        enough (``warm_min_iterations``) for seeding to pay off.
+        class), as do repeats across calls via the cache.
         """
         t0 = time.perf_counter()
         obs_on = obs.enabled()
-        if (
-            seed is None
-            or not self.warm_start
-            or seed.iterations < self.warm_min_iterations
-        ):
-            seed = None
         with obs.span(
             "search.evaluate", workload=workload.name, placements=len(placements)
         ) as ev_span:
@@ -210,16 +180,10 @@ class SearchEngine:
             self.stats.inc("cache_misses", misses)
 
             if pending:
-                with obs.span(
-                    "search.predict", misses=len(pending), seeded=seed is not None
-                ):
-                    predictions = self._predict_batch(
-                        workload, list(pending.values()), seed=seed
-                    )
+                with obs.span("search.predict", misses=len(pending)):
+                    predictions = self._predict_batch(workload, list(pending.values()))
                 self.stats.inc("evaluations", len(predictions))
                 self.stats.observe_iterations(p.iterations for p in predictions)
-                if seed is not None:
-                    self.stats.inc("warm_seeded", len(predictions))
                 for key, prediction in zip(pending, predictions):
                     found[key] = prediction
                     self.cache.put(key, prediction)
@@ -285,20 +249,15 @@ class SearchEngine:
                     f"strategy {type(strategy).__name__} proposed no candidates"
                 )
             rounds = 0
-            seed: Optional[SeedState] = None
             while candidates:
                 rounds += 1
                 self.stats.inc("rounds")
                 with obs.span(
                     "search.round", round=rounds, candidates=len(candidates)
                 ):
-                    for ranked in self.evaluate(workload, candidates, seed=seed):
+                    for ranked in self.evaluate(workload, candidates):
                         seen.setdefault(canonical_key(ranked.placement), ranked)
                     best = min(seen.values(), key=lambda r: r.predicted_time_s)
-                    if self.warm_start:
-                        # Refine rounds explore this best's neighbours —
-                        # warm-start them from its converged state.
-                        seed = best.prediction.seed_state()
                     with obs.span("search.strategy", phase="refine", round=rounds):
                         proposed = strategy.refine(topology, best, seen)
                     candidates = [
@@ -347,7 +306,6 @@ class SearchEngine:
         self,
         workload: WorkloadDescription,
         placements: List[Placement],
-        seed: Optional[SeedState] = None,
     ) -> List[Prediction]:
         """Predict the miss set, through the batch kernel when available.
 
@@ -356,15 +314,9 @@ class SearchEngine:
         :class:`~repro.core.predictor.PandiaPredictor` exposes
         ``predict_batch``, which runs the whole set as one vectorised
         fixed point, bit-identical to ``predict`` on each placement.
-        *seed* warm-starts the whole set; it is only forwarded when set,
-        so duck-typed predictors without the parameter keep working cold.
         """
         predictor = self.predictor
         batch = getattr(predictor, "predict_batch", None)
         if batch is not None:
-            if seed is not None:
-                return batch(workload, placements, seed=seed)
             return batch(workload, placements)
-        if seed is not None:
-            return [predictor.predict(workload, p, seed=seed) for p in placements]
         return [predictor.predict(workload, p) for p in placements]

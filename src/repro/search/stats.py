@@ -34,7 +34,6 @@ _COUNTER_FIELDS = (
     "cache_hits",
     "cache_misses",
     "evaluations",
-    "warm_seeded",
     "fixed_point_iterations",
     "rounds",
     "surrogate_scored",
@@ -107,10 +106,6 @@ class SearchStats:
         return self._value("evaluations")
 
     @property
-    def warm_seeded(self) -> int:  # evaluations that ran warm-started
-        return self._value("warm_seeded")
-
-    @property
     def fixed_point_iterations(self) -> int:  # total iterations across evaluations
         return self._value("fixed_point_iterations")
 
@@ -159,13 +154,6 @@ class SearchStats:
         return self.cache_hits / self.requests
 
     @property
-    def warm_rate(self) -> float:
-        """Fraction of predictor evaluations that ran warm-started."""
-        if self.evaluations == 0:
-            return 0.0
-        return self.warm_seeded / self.evaluations
-
-    @property
     def mean_iterations(self) -> float:
         """Fixed-point iterations per predictor evaluation (0 when none ran).
 
@@ -204,11 +192,7 @@ class SearchStats:
                 f"p50 {self.iterations_percentile(0.50):.1f} / "
                 f"p90 {self.iterations_percentile(0.90):.1f})",
             ),
-            (
-                "warm seeded",
-                f"{self.warm_seeded} ({self.warm_rate:.0%}) over "
-                f"{self.fixed_point_iterations} fixed-point iterations",
-            ),
+            ("fixed-point iterations", str(self.fixed_point_iterations)),
             (
                 "surrogate",
                 f"{self.surrogate_scored} scored / "

@@ -6,8 +6,8 @@ count times widest row stays within ``BATCH_CELLS`` padded cells, and
 run one kernel call per chunk.  Rows are independent bit for bit, so:
 
 * over shuffled, mixed-width populations spanning three or more
-  chunks, seeded or not, every batch result equals the one-row call on
-  its row under ``==``, field by field;
+  chunks, every batch result equals the one-row call on its row under
+  ``==``, field by field;
 * one 400-placement X5-2 batch peaks at no more than 3 MiB of traced
   allocations (8.4 MiB as one call).
 """
@@ -85,19 +85,17 @@ def placements(draw):
 @given(
     rows=st.lists(placements(), min_size=30, max_size=45),
     parameters=params,
-    seeded=st.booleans(),
 )
-def test_batch_rows_equal_one_row_calls(rows, parameters, seeded):
+def test_batch_rows_equal_one_row_calls(rows, parameters):
     workload = _workload("chunked", *parameters)
     kernel = PandiaPredictor(MD)
-    seed = kernel.predict(workload, rows[-1]).seed_state() if seeded else None
     budget = max(12, sum(p.n_threads for p in rows) // 4)
     calls, patch = _kernel_calls(kernel)
     with mock.patch.object(predictor_module, "BATCH_CELLS", budget), patch:
-        batch = kernel.predict_batch(workload, rows, seed=seed)
+        batch = kernel.predict_batch(workload, rows)
     _assert_contiguous_chunks(calls, [[(workload, p)] for p in rows], budget)
     for placement, got in zip(rows, batch):
-        assert_same_result(got, kernel.predict(workload, placement, seed=seed))
+        assert_same_result(got, kernel.predict(workload, placement))
 
 
 @settings(max_examples=20, deadline=None)
@@ -116,19 +114,17 @@ def test_joint_batch_rows_equal_one_row_calls(schedules):
         assert_same_result(got, predictor.predict(jobs))
 
 
-@pytest.mark.parametrize("seeded", [False, True], ids=["cold", "warm"])
-def test_shuffled_x5_population_at_the_budget(x5_cg, seeded):
+def test_shuffled_x5_population_at_the_budget(x5_cg):
     """At the real budget: 400 X5-2 placements in shuffled order."""
     md, workload, sample = x5_cg
     rows = random.Random(5).sample(sample, len(sample))
     kernel = PandiaPredictor(md)
-    seed = kernel.predict(workload, sample[200]).seed_state() if seeded else None
     calls, patch = _kernel_calls(kernel)
     with patch:
-        batch = kernel.predict_batch(workload, rows, seed=seed)
+        batch = kernel.predict_batch(workload, rows)
     _assert_contiguous_chunks(calls, [[(workload, p)] for p in rows], BATCH_CELLS)
     for placement, got in zip(rows, batch):
-        assert_same_result(got, kernel.predict(workload, placement, seed=seed))
+        assert_same_result(got, kernel.predict(workload, placement))
 
 
 def test_joint_rows_at_the_budget():

@@ -2,9 +2,8 @@
 
 The callers that decide placements read only times, so a kernel-built
 prediction stores its scalars and builds ``slowdowns``,
-``utilisations``, ``final_f_norm`` and the resource dictionaries on
-first read (``tests/properties/test_on_demand_fields.py`` pins the
-values).  These tests pin what that buys and what it must not break:
+``utilisations`` and the resource dictionaries on first read
+(``tests/properties/test_on_demand_fields.py`` pins the values).  These tests pin what that buys and what it must not break:
 
 * a default optimize session and an online replay build no resource
   dictionary, and reading one result's bottleneck builds exactly one;
@@ -220,8 +219,6 @@ class TestExplicitValues:
             iterations=3,
             converged=True,
         )
-        assert p.final_f_norm is None
-        assert p.seed_state() is None
         assert p.resource_loads == {} and p.bottleneck() is None
         assert pickle.loads(pickle.dumps(p)) == p
         assert vars(pickle.loads(pickle.dumps(p))) == vars(p)

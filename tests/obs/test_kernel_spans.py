@@ -89,7 +89,7 @@ def test_span_covers_setup_and_packaging(testbox_md, phases, name):
     assert span.start_ns <= setup
     assert span.end_ns >= packaged
     assert span.attrs["machine"] == testbox_md.machine_name
-    assert {"workload", "population", "jobs", "threads", "seeded",
+    assert {"workload", "population", "jobs", "threads",
             "iterations_max", "converged_rows", "convergence"} <= set(span.attrs)
 
 
@@ -102,7 +102,6 @@ def test_span_attributes_describe_the_population(testbox_md):
     assert span.attrs["population"] == 2
     assert span.attrs["jobs"] == 3
     assert span.attrs["threads"] == 5
-    assert span.attrs["seeded"] is False
 
 
 def test_failed_setup_closes_its_span(testbox_md):

@@ -208,7 +208,7 @@ class TestRowIndependence:
         alone = predictor.predict(job.description, job.placement)
         for name in ("speedup", "predicted_time_s", "slowdowns", "utilisations",
                      "iterations", "converged", "resource_loads",
-                     "resource_capacities", "final_f_norm"):
+                     "resource_capacities"):
             assert getattr(batched, name) == getattr(alone, name), name
 
 

@@ -29,7 +29,6 @@ from repro.core.predictor import IterationTrace, Prediction, _Population
 def eager_predictions(
     self: _Population,
     final: np.ndarray,
-    final_f: np.ndarray,
     iterations: np.ndarray,
     converged: np.ndarray,
     trace: List[IterationTrace],
@@ -51,7 +50,6 @@ def eager_predictions(
     # order, so each job's values are the next n of these streams.
     slowdowns = iter(final[valid].tolist())
     utilisations = iter(futil[valid].tolist())
-    f_norms = iter((final_f[valid] / f_init_t[valid]).tolist())
     per_job = zip(
         self.n_job.tolist(), self.amdahl.tolist(), speedup.tolist(), time.tolist()
     )
@@ -76,7 +74,6 @@ def eager_predictions(
                     converged=conv,
                     resource_loads=row_loads,
                     resource_capacities=row_caps,
-                    final_f_norm=tuple(islice(f_norms, n)),
                 )
             )
         out.append(preds)
@@ -111,11 +108,9 @@ def eager_oracle() -> Iterator[List[List[List[Prediction]]]]:
     calls: List[List[List[Prediction]]] = []
     columns = _Population.columns
 
-    def both(self, final, final_f, iterations, converged, trace):
-        calls.append(
-            eager_predictions(self, final, final_f, iterations, converged, trace)
-        )
-        return columns(self, final, final_f, iterations, converged, trace)
+    def both(self, final, iterations, converged, trace):
+        calls.append(eager_predictions(self, final, iterations, converged, trace))
+        return columns(self, final, iterations, converged, trace)
 
     _Population.columns = both
     try:

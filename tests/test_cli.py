@@ -94,6 +94,25 @@ class TestOptimize:
         assert "optimize TESTBOX MD:" in err
         assert "--surrogate-model" in err
 
+    @pytest.mark.parametrize("strategy", ["greedy", "sweep"])
+    def test_strategy_prints_every_search_stat(self, capsys, strategy):
+        from repro.search.stats import SearchStats
+
+        assert main([
+            "--noise", "0", "optimize", "TESTBOX", "MD", "--strategy", strategy,
+            "--stats",
+        ]) == 0
+        out = capsys.readouterr().out
+        stats = out[out.index("search stats:"):]
+        for label, _ in SearchStats().report():
+            assert f"  {label}:" in stats, label
+
+    def test_warm_start_flag_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--noise", "0", "optimize", "TESTBOX", "MD", "--warm-start"])
+        assert exc.value.code == 2
+        assert "--warm-start" in capsys.readouterr().err
+
 
 class TestCoschedule:
     def test_coschedule_two_workloads(self, capsys):

@@ -268,63 +268,35 @@ class TestOnlineDocumented:
             assert flag in option_strings, f"{flag} missing from `pandia online`"
 
 
-class TestWarmStartDocumented:
-    """docs track the warm-start machinery."""
+class TestWarmStartRemoved:
+    """Prediction has one fixed point, the cold one: no doc offers the
+    deleted warm-start surface, and the iteration counter stays
+    documented."""
 
-    API_TOKENS = (
+    REMOVED = (
         "SeedState",
-        "seed_state()",
+        "seed_state",
         "warm_start",
+        "--warm-start",
         "final_f_norm",
-    )
-    MODEL_TOKENS = (
-        "Warm-start & delta prediction",
-        "slowdown cap",
-        "Aitken",
         "WARM_MIN_SEED_ITERATIONS",
+        "warm_seeded",
+        "warm_rate",
+        "predictor.warm.predictions",
     )
 
-    def test_api_doc_covers_the_surface(self):
-        text = (REPO / "docs" / "api.md").read_text()
-        for token in self.API_TOKENS:
-            assert token in text, f"{token!r} missing from docs/api.md"
-
-    def test_model_doc_explains_the_protocol(self):
-        text = (REPO / "docs" / "model.md").read_text()
-        for token in self.MODEL_TOKENS:
-            assert token in text, f"{token!r} missing from docs/model.md"
-
-    def test_readme_cross_links(self):
-        readme = (REPO / "README.md").read_text()
-        assert "--warm-start" in readme
-
-    def test_cli_exposes_the_documented_flags(self):
-        from repro.cli import build_parser
-
-        parser = build_parser()
-        subparsers = next(
-            a for a in parser._actions if a.__class__.__name__ == "_SubParsersAction"
-        )
-        option_strings = {
-            opt
-            for action in subparsers.choices["optimize"]._actions
-            for opt in action.option_strings
-        }
-        assert "--warm-start" in option_strings, (
-            "--warm-start missing from `pandia optimize`"
-        )
-
-    def test_stats_surface_the_telemetry(self):
-        # The documented SearchStats warm counters must exist: a rename
-        # breaks both the docs and anyone reading summary() output.
+    def test_docs_name_no_removed_warm_start_name(self):
         from repro.search.stats import SearchStats
 
-        stats = SearchStats()
-        for field in ("warm_seeded", "fixed_point_iterations", "warm_rate"):
-            assert hasattr(stats, field)
-        text = (REPO / "docs" / "api.md").read_text()
-        for field in ("warm_seeded", "fixed_point_iterations"):
-            assert field in text, f"{field!r} missing from docs/api.md"
+        for path in [REPO / "README.md", *sorted((REPO / "docs").glob("*.md"))]:
+            text = path.read_text()
+            named = [name for name in self.REMOVED if name in text]
+            assert not named, f"{path.relative_to(REPO)} names {named}"
+        assert hasattr(SearchStats(), "fixed_point_iterations")
+        api = (REPO / "docs" / "api.md").read_text()
+        assert "fixed_point_iterations" in api, (
+            "'fixed_point_iterations' missing from docs/api.md"
+        )
 
 
 class TestLintDocumented:
