@@ -108,6 +108,24 @@ def _descriptions(args: argparse.Namespace):
     return machine, md, wd
 
 
+def _rack(args: argparse.Namespace):
+    """``--nodes`` identical ``machine`` nodes and their profiler.
+
+    Returns the rack and a description generator for that machine.
+    """
+    from repro.rack import Rack, RackMachine
+
+    machine = machines.get(args.machine)
+    noise = _noise(args)
+    md = generate_machine_description(machine, noise=noise)
+    rack = Rack(
+        machines=tuple(
+            RackMachine(f"node-{i}", machine, md) for i in range(args.nodes)
+        )
+    )
+    return rack, WorkloadDescriptionGenerator(machine, md, noise=noise)
+
+
 def cmd_machines(_args: argparse.Namespace) -> int:
     rows = []
     for name in machines.names():
@@ -271,23 +289,15 @@ def cmd_coschedule(args: argparse.Namespace) -> int:
 
 def cmd_rack(args: argparse.Namespace) -> int:
     """Schedule a batch of workloads onto N identical machines."""
-    from repro.rack import Rack, RackMachine, RackScheduler, validate_schedule
+    from repro.rack import RackScheduler, validate_schedule
 
-    machine = machines.get(args.machine)
-    noise = _noise(args)
-    md = generate_machine_description(machine, noise=noise)
-    rack = Rack(
-        machines=tuple(
-            RackMachine(f"node-{i}", machine, md) for i in range(args.nodes)
-        )
-    )
-    generator = WorkloadDescriptionGenerator(machine, md, noise=noise)
+    rack, generator = _rack(args)
     descriptions = [generator.generate(catalog.get(n)) for n in args.workloads]
     schedule = RackScheduler(rack).schedule(descriptions)
     print(schedule.summary())
     if args.validate:
         specs = {n: catalog.get(n) for n in args.workloads}
-        validation = validate_schedule(schedule, specs, noise=noise)
+        validation = validate_schedule(schedule, specs, noise=generator.noise)
         print(
             f"measured makespan: {validation.measured_makespan_s:.2f}s "
             f"({validation.makespan_error_percent:.1f}% prediction error)"
@@ -310,25 +320,23 @@ def cmd_explain(args: argparse.Namespace) -> int:
 
 
 def cmd_timeline(args: argparse.Namespace) -> int:
-    """Queued execution of a workload batch on an N-node rack."""
-    from repro.rack import Rack, RackMachine, TimelineScheduler, WorkloadRequest
+    """Queued execution of a workload batch on an N-node rack.
 
-    machine = machines.get(args.machine)
-    noise = _noise(args)
-    md = generate_machine_description(machine, noise=noise)
-    rack = Rack(
-        machines=tuple(
-            RackMachine(f"node-{i}", machine, md) for i in range(args.nodes)
-        )
+    Workload *i* arrives at ``i * --stagger`` seconds; the online
+    service places each batch of arrivals with its default policy.
+    """
+    from repro.online import OnlineScheduler, replay_trace
+
+    rack, generator = _rack(args)
+    pool = {n: generator.generate(catalog.get(n)) for n in args.workloads}
+    trace = replay_trace(
+        [
+            {"workload": name, "arrival_s": i * args.stagger, "job": name}
+            for i, name in enumerate(args.workloads)
+        ],
+        pool,
     )
-    generator = WorkloadDescriptionGenerator(machine, md, noise=noise)
-    requests = []
-    for i, name in enumerate(args.workloads):
-        description = generator.generate(catalog.get(name))
-        requests.append(
-            WorkloadRequest(description, arrival_s=i * args.stagger)
-        )
-    timeline = TimelineScheduler(rack).run(requests)
+    timeline = OnlineScheduler(rack).run(trace).timeline
     print(timeline.gantt())
     print(
         f"makespan {timeline.makespan_s:.2f}s, "
@@ -341,24 +349,10 @@ def cmd_online(args: argparse.Namespace) -> int:
     """Event-driven arrival stream on an N-node rack."""
     import json as json_module
 
-    from repro.online import (
-        OnlineScheduler,
-        diurnal_trace,
-        policy_names,
-        poisson_trace,
-    )
-    from repro.rack import Rack, RackMachine
+    from repro.online import OnlineScheduler, diurnal_trace, poisson_trace
 
     setup_tracing(args)
-    machine = machines.get(args.machine)
-    noise = _noise(args)
-    md = generate_machine_description(machine, noise=noise)
-    rack = Rack(
-        machines=tuple(
-            RackMachine(f"node-{i}", machine, md) for i in range(args.nodes)
-        )
-    )
-    generator = WorkloadDescriptionGenerator(machine, md, noise=noise)
+    rack, generator = _rack(args)
     pool = [generator.generate(catalog.get(n)) for n in args.workloads]
     if args.pattern == "diurnal":
         trace = diurnal_trace(
@@ -368,10 +362,6 @@ def cmd_online(args: argparse.Namespace) -> int:
     else:
         trace = poisson_trace(
             pool, n_jobs=args.jobs, rate_per_s=args.rate, seed=args.seed
-        )
-    if args.policy not in policy_names():
-        raise ReproError(
-            f"unknown policy {args.policy!r}; known: {', '.join(policy_names())}"
         )
     scheduler = OnlineScheduler(
         rack, policy=args.policy, migrate=args.migrate,
@@ -458,7 +448,6 @@ def cmd_dashboard(args: argparse.Namespace) -> int:
     from repro.obs.metrics import Metrics
     from repro.obs.timeseries import TimeSeriesRecorder
     from repro.online import OnlineScheduler, poisson_trace
-    from repro.rack import Rack, RackMachine
     from repro.search import ExhaustiveStrategy, SearchEngine
 
     obs.reset()
@@ -466,27 +455,19 @@ def cmd_dashboard(args: argparse.Namespace) -> int:
     registry = obs.metrics()
     wall = TimeSeriesRecorder(registry, interval_s=args.interval)
     sim = TimeSeriesRecorder(Metrics(), interval_s=args.sample_window)
-    machine = machines.get(args.machine)
-    noise = _noise(args)
     wall.start()
     # Everything traced nests under this one span, so the flamegraph
     # root *is* the session: root width == run wall time, exactly.
     with obs.span("dashboard.session", machine=args.machine):
-        md = generate_machine_description(machine, noise=noise)
-        generator = WorkloadDescriptionGenerator(machine, md, noise=noise)
+        rack, generator = _rack(args)
         pool = [generator.generate(catalog.get(n)) for n in args.workloads]
-        predictor = PandiaPredictor(md)
+        predictor = PandiaPredictor(generator.machine_description)
         with SearchEngine(predictor) as engine:
             for wd in pool:
                 engine.search(
                     wd, ExhaustiveStrategy(sample=args.max_placements, seed=0)
                 )
             registry.merge(engine.stats.metrics.data())
-        rack = Rack(
-            machines=tuple(
-                RackMachine(f"node-{i}", machine, md) for i in range(args.nodes)
-            )
-        )
         trace = poisson_trace(
             pool, n_jobs=args.jobs, rate_per_s=args.rate, seed=args.seed
         )

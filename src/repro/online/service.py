@@ -48,7 +48,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro import obs
-from repro.core.coscheduling import CoScheduledWorkload
+from repro.core.placement import Placement
 from repro.errors import ReproError
 from repro.obs.metrics import Metrics
 from repro.online.events import Event, EventKind, EventLog, EventLoop
@@ -56,11 +56,7 @@ from repro.online.policies import PlacementPolicy, get_policy
 from repro.online.trace import ArrivalTrace, Job
 from repro.rack.model import Rack
 from repro.rack.occupancy import FleetOccupancy
-from repro.rack.scheduler import (
-    RackScheduler,
-    candidate_thread_counts,
-    free_context_placement,
-)
+from repro.rack.scheduler import RackScheduler
 from repro.rack.timeline import Timeline, TimelineEntry
 
 __all__ = [
@@ -377,6 +373,8 @@ class OnlineScheduler:
         versions: Dict[str, int] = {name: 0 for name in jobs}
         pending: List[str] = []
         timeline = Timeline()
+        # Placements a job left by migrating: (machine, placement, end).
+        moved_off: Dict[str, List[Tuple[str, Placement, float]]] = {}
         decisions: List[Decision] = []
         completed: List[CompletedJob] = []
         busy_thread_seconds = 0.0
@@ -400,7 +398,7 @@ class OnlineScheduler:
                     log.append(event)
                     self._depart(
                         event.job_name, now, fleet, loop, versions,
-                        jobs, timeline, completed, stats,
+                        jobs, timeline, moved_off, completed, stats,
                     )
                     self._drain(
                         now, fleet, loop, versions, jobs, pending,
@@ -430,7 +428,7 @@ class OnlineScheduler:
                 else:  # RESCHEDULE
                     log.append(event)
                     self._consider_migration(
-                        now, fleet, loop, versions, decisions, stats
+                        now, fleet, loop, versions, moved_off, decisions, stats
                     )
 
             if pending:
@@ -468,21 +466,28 @@ class OnlineScheduler:
     # -- event handlers --------------------------------------------------
 
     def _depart(
-        self, name, now, fleet, loop, versions, jobs, timeline, completed, stats
+        self, name, now, fleet, loop, versions, jobs, timeline, moved_off,
+        completed, stats,
     ) -> None:
         resident = fleet.remove(name)
         job = jobs[name]
         stats.inc("departures")
-        timeline.entries.append(
-            TimelineEntry(
-                workload_name=name,
-                machine_name=resident.machine_name,
-                placement=resident.placement,
-                arrival_s=job.arrival_s,
-                start_s=resident.start_s,
-                end_s=now,
+        # One entry per placement the job ran on, in time order.
+        start = resident.start_s
+        segments = moved_off.pop(name, [])
+        segments.append((resident.machine_name, resident.placement, now))
+        for machine_name, placement, end in segments:
+            timeline.entries.append(
+                TimelineEntry(
+                    workload_name=name,
+                    machine_name=machine_name,
+                    placement=placement,
+                    arrival_s=job.arrival_s,
+                    start_s=start,
+                    end_s=end,
+                )
             )
-        )
+            start = end
         record = CompletedJob(
             name=name,
             spec_name=job.spec_name,
@@ -551,7 +556,7 @@ class OnlineScheduler:
             )
 
     def _consider_migration(
-        self, now, fleet, loop, versions, decisions, stats
+        self, now, fleet, loop, versions, moved_off, decisions, stats
     ) -> None:
         """Re-auction the latest-finishing resident across the fleet."""
         residents = fleet.residents()
@@ -578,20 +583,11 @@ class OnlineScheduler:
             base_ends = {r.name: r.end_s for r in fleet.residents()}
 
             best_key: Optional[Tuple[float, float, int]] = None
-            best: Optional[Tuple[str, object]] = None
+            best: Optional[Tuple[str, Placement]] = None
             for machine in self.rack.machines:
-                occupied = fleet.occupied(machine.name)
-                free = machine.n_hw_threads - len(occupied)
-                co_resident = fleet.co_scheduled(machine.name)
-                for n in candidate_thread_counts(free):
-                    placement = free_context_placement(machine, occupied, n)
-                    if placement is None:
-                        continue
-                    joint = self.core.predict_machine(
-                        machine.name,
-                        co_resident
-                        + [CoScheduledWorkload(detached.workload, placement)],
-                    )
+                for n, placement, joint in self.core.ladder(
+                    fleet, machine, detached.workload
+                ):
                     ends = dict(base_ends)
                     if machine.name != old_machine:
                         ends.update(survivor_ends)
@@ -625,6 +621,9 @@ class OnlineScheduler:
                 return
 
             machine_name, placement = best
+            moved_off.setdefault(detached.name, []).append(
+                (old_machine, detached.placement, now)
+            )
             moved = fleet.place(
                 detached.workload, machine_name, placement, start_s=detached.start_s
             )

@@ -22,7 +22,6 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.description import WorkloadDescription
 from repro.errors import ReproError
-from repro.rack.timeline import WorkloadRequest
 
 __all__ = ["ArrivalTrace", "Job", "diurnal_trace", "poisson_trace", "replay_trace"]
 
@@ -45,10 +44,6 @@ class Job:
     def name(self) -> str:
         return self.workload.name
 
-    def as_request(self) -> WorkloadRequest:
-        """Bridge to the :mod:`repro.rack.timeline` request type."""
-        return WorkloadRequest(self.workload, arrival_s=self.arrival_s)
-
 
 @dataclass(frozen=True)
 class ArrivalTrace:
@@ -64,9 +59,13 @@ class ArrivalTrace:
         names = [j.name for j in self.jobs]
         if len(set(names)) != len(names):
             raise ReproError(f"duplicate job names in trace: {sorted(names)}")
-        arrivals = [j.arrival_s for j in self.jobs]
-        if arrivals != sorted(arrivals):
-            raise ReproError("trace jobs must be ordered by arrival time")
+        for before, job in zip(self.jobs, self.jobs[1:]):
+            if job.arrival_s < before.arrival_s:
+                raise ReproError(
+                    f"trace jobs must be ordered by arrival time: job "
+                    f"{job.name!r} arrives at {job.arrival_s} s, before "
+                    f"{before.name!r} at {before.arrival_s} s"
+                )
 
     def __len__(self) -> int:
         return len(self.jobs)
@@ -111,6 +110,11 @@ def _check_pool(pool: Sequence[WorkloadDescription]) -> None:
         raise ReproError(f"duplicate workload names in pool: {names}")
 
 
+def _check_n_jobs(n_jobs: int) -> None:
+    if n_jobs < 1:
+        raise ReproError(f"a trace needs at least one job, got n_jobs={n_jobs}")
+
+
 def poisson_trace(
     pool: Sequence[WorkloadDescription],
     n_jobs: int,
@@ -121,10 +125,9 @@ def poisson_trace(
     import random
 
     _check_pool(pool)
-    if n_jobs < 1:
-        raise ReproError("a trace needs at least one job")
+    _check_n_jobs(n_jobs)
     if rate_per_s <= 0:
-        raise ReproError("arrival rate must be positive")
+        raise ReproError(f"arrival rate must be positive, got {rate_per_s}")
     rng = random.Random(seed)
     t = 0.0
     jobs = []
@@ -155,14 +158,15 @@ def diurnal_trace(
     import random
 
     _check_pool(pool)
-    if n_jobs < 1:
-        raise ReproError("a trace needs at least one job")
+    _check_n_jobs(n_jobs)
     if mean_rate_per_s <= 0:
-        raise ReproError("mean arrival rate must be positive")
+        raise ReproError(
+            f"mean arrival rate must be positive, got {mean_rate_per_s}"
+        )
     if period_s <= 0:
-        raise ReproError("diurnal period must be positive")
+        raise ReproError(f"diurnal period must be positive, got {period_s}")
     if not 0.0 <= amplitude < 1.0:
-        raise ReproError("amplitude must be in [0, 1)")
+        raise ReproError(f"amplitude must be in [0, 1), got {amplitude}")
     rng = random.Random(seed)
     t = 0.0
     jobs = []

@@ -1,18 +1,15 @@
 """Shared occupancy/residency bookkeeping for rack schedulers.
 
-Both the batch :class:`~repro.rack.scheduler.RackScheduler`, the FIFO
-:class:`~repro.rack.timeline.TimelineScheduler` and the event-driven
-:class:`~repro.online.service.OnlineScheduler` answer the same two
-questions while deciding where a workload goes: *which hardware
-contexts are taken on each machine* and *which workloads are resident
-there with which placements*.  Each used to keep its own ad-hoc
-bookkeeping (``RackSchedule.occupied`` / a private ``_Running`` list),
-which could drift apart.  :class:`FleetOccupancy` is the one model all
-of them share.
+Both the batch :class:`~repro.rack.scheduler.RackScheduler` and the
+event-driven :class:`~repro.online.service.OnlineScheduler` answer the
+same two questions while deciding where a workload goes: *which
+hardware contexts are taken on each machine* and *which workloads are
+resident there with which placements*.  :class:`FleetOccupancy` is the
+one model both share, so their views cannot drift apart.
 
 A :class:`Resident` is one workload pinned to one machine, optionally
 carrying the execution-time fields (``start_s`` / ``end_s``) the
-time-driven schedulers need; the batch scheduler simply leaves them at
+time-driven scheduler needs; the batch scheduler simply leaves them at
 their defaults.  Placement conflicts are rejected at ``place()`` time
 with errors that name the machine and the colliding hardware threads.
 """
@@ -36,8 +33,8 @@ __all__ = ["Resident", "FleetOccupancy"]
 class Resident:
     """One workload resident on one machine of the fleet.
 
-    ``start_s`` / ``end_s`` are meaningful only to time-driven
-    schedulers; the batch scheduler leaves them at ``0.0`` / ``inf``.
+    ``start_s`` / ``end_s`` are meaningful only to the time-driven
+    scheduler; the batch scheduler leaves them at ``0.0`` / ``inf``.
     ``done_fraction`` and ``predicted_total_s`` support re-prediction:
     when contention changes, a scheduler can account how much of the
     job ran under the old prediction and re-time the remainder.

@@ -29,7 +29,11 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro import obs
-from repro.core.coscheduling import CoSchedulePredictor, CoScheduledWorkload
+from repro.core.coscheduling import (
+    CoSchedulePrediction,
+    CoSchedulePredictor,
+    CoScheduledWorkload,
+)
 from repro.core.description import WorkloadDescription
 from repro.core.placement import Placement
 from repro.core.predictor import PandiaPredictor
@@ -92,11 +96,12 @@ class RackScheduler:
     """Assigns a batch of profiled workloads to a rack.
 
     Besides the offline :meth:`schedule` entry point, the scheduler
-    exposes its decision core — :meth:`solo_estimate`,
+    exposes its decision core — :meth:`solo_estimate`, :meth:`ladder`,
     :meth:`best_candidate`, :meth:`admit_batch` and
     :meth:`predict_machine` — over a caller-owned
-    :class:`FleetOccupancy`, so event-driven schedulers reuse the exact
-    same admission logic on a partially occupied fleet.
+    :class:`FleetOccupancy`, so the event-driven scheduler reuses the
+    exact same admission logic (and its migrator the same candidate
+    ladders) on a partially occupied fleet.
     """
 
     #: Relative tolerance under which two candidate fleet makespans are
@@ -265,24 +270,9 @@ class RackScheduler:
         machine can host the workload, naming it.
         """
         candidates: List[Tuple[float, float, int, Assignment, Dict[str, float]]] = []
-
         for machine in self.rack.machines:
-            occupied = fleet.occupied(machine.name)
-            free = machine.n_hw_threads - len(occupied)
-            if max_threads is not None:
-                free = min(free, max_threads)
-            if free < 1:
-                continue
-            resident = fleet.co_scheduled(machine.name)
-            ladder: List[Tuple[int, Placement]] = []
-            for n in candidate_thread_counts(free):
-                placement = free_context_placement(machine, occupied, n)
-                if placement is not None:
-                    ladder.append((n, placement))
-            joints = self._joint[machine.name].predict_batch(
-                [resident + [CoScheduledWorkload(workload, p)] for _, p in ladder]
-            )
-            for (n, placement), joint in zip(ladder, joints):
+            rungs = self.ladder(fleet, machine, workload, max_threads)
+            for n, placement, joint in rungs:
                 predictions = {
                     o.workload_name: self._remaining_in(
                         fleet, o.workload_name, o.predicted_time_s
@@ -311,6 +301,37 @@ class RackScheduler:
             key=lambda c: (c[1], c[2], c[0]),
         )
         return best_assignment, best_predictions
+
+    def ladder(
+        self,
+        fleet: FleetOccupancy,
+        machine: RackMachine,
+        workload: WorkloadDescription,
+        max_threads: Optional[int] = None,
+    ) -> List[Tuple[int, Placement, CoSchedulePrediction]]:
+        """*workload*'s candidate rungs on one machine, jointly predicted.
+
+        One rung per :func:`candidate_thread_counts` entry on the
+        machine's free contexts (at most *max_threads* of them), each
+        scored as the machine's residents plus the workload on that
+        rung, all in one kernel call.  Returns ``(threads, placement,
+        joint prediction)`` in ladder order; empty when nothing is free.
+        """
+        occupied = fleet.occupied(machine.name)
+        free = machine.n_hw_threads - len(occupied)
+        if max_threads is not None:
+            free = min(free, max_threads)
+        rungs = [
+            (n, free_context_placement(machine, occupied, n))
+            for n in candidate_thread_counts(free)
+        ]
+        if not rungs:
+            return []
+        resident = fleet.co_scheduled(machine.name)
+        joints = self._joint[machine.name].predict_batch(
+            [resident + [CoScheduledWorkload(workload, p)] for _, p in rungs]
+        )
+        return [(n, p, joint) for (n, p), joint in zip(rungs, joints)]
 
     def predict_machine(
         self, machine_name: str, jobs: Sequence[CoScheduledWorkload]

@@ -1,59 +1,33 @@
-"""Event-driven rack execution: queued workloads over time.
+"""Execution records of queued workloads: who ran where, and when.
 
 The batch scheduler (:mod:`repro.rack.scheduler`) answers "how do I
-place these workloads *now*"; a server actually sees workloads arrive
-over time and finish at different moments, freeing space.  This module
-adds the time dimension:
+place these workloads *now*"; a server sees workloads arrive over time
+and finish at different moments, freeing space.  The event loop that
+places them is :class:`repro.online.service.OnlineScheduler`; this
+module holds what it records:
 
-* :class:`WorkloadRequest` — a profiled workload plus an arrival time;
-* :class:`TimelineScheduler` — an event loop that, at every arrival or
-  completion, places the head of the queue using Pandia's joint
-  predictions over the machines' *current* residents;
-* :class:`Timeline` — the resulting execution record (start, end,
-  machine, placement per workload), with makespan and queueing delay.
+* :class:`TimelineEntry` — one placement a workload ran on: machine,
+  placement, arrival, start and end.  A workload that migrated has one
+  entry per placement, in time order;
+* :class:`Timeline` — the complete record, with makespan, queueing
+  delay and a text Gantt chart.
 
-Durations are taken from the co-schedule predictions at placement time.
-A workload's remaining work is tracked in normalised units so that a
-neighbour finishing early (shrinking contention) does not change its
-accounting — a deliberate simplification: re-predicting residual times
-at every event is possible but the placement decisions are what we
-study, and those only need relative comparisons.  The richer
-:mod:`repro.online` service *does* re-predict at departures and can
-migrate; both schedulers share the
-:class:`~repro.rack.occupancy.FleetOccupancy` residency model, so
-their views of "what is running where" cannot drift apart.
+:func:`repro.rack.validate.validate_timeline` replays a timeline
+through the churn-aware simulator.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List
 
-from repro.core.coscheduling import CoSchedulePredictor, CoScheduledWorkload
-from repro.core.description import WorkloadDescription
 from repro.core.placement import Placement
 from repro.errors import ReproError
-from repro.rack.model import Rack
-from repro.rack.occupancy import FleetOccupancy
-from repro.rack.scheduler import candidate_thread_counts, free_context_placement
-
-
-@dataclass(frozen=True)
-class WorkloadRequest:
-    """One queued workload: description plus arrival time."""
-
-    description: WorkloadDescription
-    arrival_s: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.arrival_s < 0:
-            raise ReproError("arrival time cannot be negative")
 
 
 @dataclass
 class TimelineEntry:
-    """Execution record for one workload."""
+    """One placement a workload ran on, from its start to its end there."""
 
     workload_name: str
     machine_name: str
@@ -73,11 +47,12 @@ class TimelineEntry:
 
 @dataclass
 class Timeline:
-    """The complete execution record of a request sequence."""
+    """The complete execution record of a job stream."""
 
     entries: List[TimelineEntry] = field(default_factory=list)
 
     def entry_for(self, workload_name: str) -> TimelineEntry:
+        """The workload's first entry (where it started)."""
         for entry in self.entries:
             if entry.workload_name == workload_name:
                 return entry
@@ -91,12 +66,16 @@ class Timeline:
 
     @property
     def mean_queueing_delay_s(self) -> float:
+        """Mean wait from arrival to first start, one term per workload."""
         if not self.entries:
             raise ReproError("empty timeline")
-        return sum(e.queueing_delay_s for e in self.entries) / len(self.entries)
+        first: Dict[str, TimelineEntry] = {}
+        for entry in self.entries:
+            first.setdefault(entry.workload_name, entry)
+        return sum(e.queueing_delay_s for e in first.values()) / len(first)
 
     def gantt(self, width: int = 64) -> str:
-        """A text Gantt chart, one row per workload."""
+        """A text Gantt chart, one row per entry."""
         span = self.makespan_s
         lines = []
         for entry in sorted(self.entries, key=lambda e: (e.start_s, e.workload_name)):
@@ -109,125 +88,3 @@ class Timeline:
             )
         lines.append(f"{'':12s} 0{'':{width - 2}}{span:.1f}s")
         return "\n".join(lines)
-
-
-class TimelineScheduler:
-    """Places queued workloads as machines free up.
-
-    Policy: FIFO admission.  On every event (arrival or completion) the
-    scheduler tries to start the queue head; a request waits until some
-    machine can offer at least ``min_threads`` free contexts.  Placement
-    choice mirrors the batch scheduler: candidate thread-count ladder on
-    free contexts of every machine, scored by the joint prediction with
-    the machine's current residents (minimising the new workload's
-    predicted completion *time*, then footprint).
-    """
-
-    def __init__(self, rack: Rack, min_threads: int = 1) -> None:
-        if min_threads < 1:
-            raise ReproError("min_threads must be >= 1")
-        self.rack = rack
-        self.min_threads = min_threads
-        self._joint = {
-            m.name: CoSchedulePredictor(m.description) for m in rack.machines
-        }
-
-    # -- public API ------------------------------------------------------
-
-    def run(self, requests: Sequence[WorkloadRequest]) -> Timeline:
-        """Execute the request sequence to completion."""
-        if not requests:
-            raise ReproError("no requests to run")
-        names = [r.description.name for r in requests]
-        if len(set(names)) != len(names):
-            raise ReproError(f"duplicate workload names: {names}")
-
-        queue: List[Tuple[float, int, WorkloadRequest]] = []
-        for i, request in enumerate(sorted(requests, key=lambda r: r.arrival_s)):
-            heapq.heappush(queue, (request.arrival_s, i, request))
-
-        fleet = FleetOccupancy(self.rack)
-        timeline = Timeline()
-        now = 0.0
-        pending: List[WorkloadRequest] = []
-
-        while queue or pending or len(fleet):
-            # Admit everything that has arrived by `now`.
-            while queue and queue[0][0] <= now:
-                pending.append(heapq.heappop(queue)[2])
-
-            # Try to start pending requests, FIFO.
-            started = True
-            while pending and started:
-                started = self._try_start(pending[0], fleet, timeline, now)
-                if started:
-                    pending.pop(0)
-
-            # Advance time to the next event.
-            next_completion = min((r.end_s for r in fleet), default=None)
-            next_arrival = queue[0][0] if queue else None
-            if next_completion is None and next_arrival is None:
-                if pending:
-                    raise ReproError(
-                        f"workload {pending[0].description.name!r} can never start: "
-                        f"no machine offers {self.min_threads} contexts"
-                    )
-                break
-            candidates = [t for t in (next_completion, next_arrival) if t is not None]
-            now = min(candidates)
-            for resident in [r for r in fleet if r.end_s <= now]:
-                fleet.remove(resident.name)
-        return timeline
-
-    # -- internals -------------------------------------------------------
-
-    def _try_start(
-        self,
-        request: WorkloadRequest,
-        fleet: FleetOccupancy,
-        timeline: Timeline,
-        now: float,
-    ) -> bool:
-        best: Optional[Tuple[float, int]] = None
-        chosen: Optional[Tuple[str, Placement, float]] = None
-        for machine in self.rack.machines:
-            occupied = fleet.occupied(machine.name)
-            free = machine.n_hw_threads - len(occupied)
-            if free < self.min_threads:
-                continue
-            residents = fleet.co_scheduled(machine.name)
-            for n in candidate_thread_counts(free):
-                if n < self.min_threads:
-                    continue
-                placement = free_context_placement(machine, occupied, n)
-                if placement is None:
-                    continue
-                jobs = residents + [CoScheduledWorkload(request.description, placement)]
-                joint = self._joint[machine.name].predict(jobs)
-                duration = joint.outcome_for(request.description.name).predicted_time_s
-                key = (duration, n)
-                if best is None or key < best:
-                    best = key
-                    chosen = (machine.name, placement, duration)
-        if chosen is None:
-            return False
-        machine_name, placement, duration = chosen
-        fleet.place(
-            request.description,
-            machine_name,
-            placement,
-            start_s=now,
-            end_s=now + duration,
-            predicted_total_s=duration,
-        )
-        timeline.entries.append(
-            TimelineEntry(
-                workload_name=request.description.name,
-                machine_name=machine_name,
-                placement=placement,
-                arrival_s=request.arrival_s,
-                start_s=now,
-                end_s=now + duration,
-            )
-        )
-        return True

@@ -9,7 +9,7 @@ measured-vs-predicted evaluation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional
+from typing import Dict, Mapping, Optional, Set
 
 from repro.errors import ReproError
 from repro.rack.model import RackSchedule
@@ -124,12 +124,23 @@ def validate_timeline(
     churn-aware simulator (:mod:`repro.sim.events`), per machine.
 
     Each workload starts when the scheduler started it; the simulator
-    then accounts for residents arriving and departing — the effect the
-    scheduler's static predictions ignore — so the gap between the two
-    makespans measures that approximation.
+    then accounts for residents arriving and departing, so the gap
+    between the two makespans measures how well the scheduler's
+    predictions tracked churn.  The simulator cannot move a running
+    job, so a workload with more than one entry (it migrated) raises,
+    naming it.
     """
     from repro.sim.events import ScheduledJob, simulate_timeline
 
+    seen: Set[str] = set()
+    for entry in timeline.entries:
+        if entry.workload_name in seen:
+            raise ReproError(
+                f"workload {entry.workload_name!r} ran on more than one "
+                f"placement (it migrated); the churn-aware simulator cannot "
+                f"replay a move"
+            )
+        seen.add(entry.workload_name)
     validation = TimelineValidation(
         predicted_ends={e.workload_name: e.end_s for e in timeline.entries}
     )

@@ -109,8 +109,37 @@ class TestValidation:
         with pytest.raises(ReproError, match="at least one"):
             ArrivalTrace(jobs=())
 
-    def test_as_request_bridge(self):
-        job = Job(make_description("a"), 2.5, "a")
-        request = job.as_request()
-        assert request.arrival_s == 2.5
-        assert request.description.name == "a"
+
+class TestErrorsNameTheValue:
+    """Each rejected generator argument or trace appears in its error."""
+
+    def test_unordered_trace_names_the_first_out_of_order_job(self):
+        jobs = (
+            Job(make_description("a"), 5.0, "a"),
+            Job(make_description("b"), 6.0, "b"),
+            Job(make_description("c"), 1.0, "c"),
+        )
+        with pytest.raises(ReproError, match=r"job 'c' arrives at 1.0 s, before 'b'"):
+            ArrivalTrace(jobs=jobs)
+
+    def test_job_count_is_named(self, small_pool):
+        with pytest.raises(ReproError, match="n_jobs=0"):
+            poisson_trace(small_pool, 0, 1.0)
+        with pytest.raises(ReproError, match="n_jobs=-3"):
+            diurnal_trace(small_pool, -3, 1.0, 60.0)
+
+    def test_rate_is_named(self, small_pool):
+        with pytest.raises(ReproError, match="positive, got -0.5"):
+            poisson_trace(small_pool, 5, -0.5)
+
+    def test_mean_rate_is_named(self, small_pool):
+        with pytest.raises(ReproError, match="mean arrival rate .* got 0.0"):
+            diurnal_trace(small_pool, 5, 0.0, 60.0)
+
+    def test_period_is_named(self, small_pool):
+        with pytest.raises(ReproError, match="period must be positive, got -60.0"):
+            diurnal_trace(small_pool, 5, 1.0, -60.0)
+
+    def test_amplitude_is_named(self, small_pool):
+        with pytest.raises(ReproError, match=r"\[0, 1\), got 1.5"):
+            diurnal_trace(small_pool, 5, 1.0, 60.0, amplitude=1.5)

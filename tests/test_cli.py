@@ -172,6 +172,44 @@ class TestTimeline:
         assert "makespan" in out
         assert "queueing delay" in out
 
+    def test_makespan_is_the_online_replay(self, capsys):
+        """The printed makespan is an explicit ``OnlineScheduler``
+        replay of the same staggered arrivals."""
+        from repro.core.machine_desc import generate_machine_description
+        from repro.core.workload_desc import WorkloadDescriptionGenerator
+        from repro.hardware import machines
+        from repro.online import OnlineScheduler, replay_trace
+        from repro.rack import Rack, RackMachine
+        from repro.sim.noise import NoiseModel
+        from repro.workloads import catalog
+
+        names = ["EP", "MD", "CG"]
+        code = main(
+            ["--noise", "0", "timeline", "TESTBOX", *names, "--nodes", "2",
+             "--stagger", "0.5"]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+
+        machine = machines.get("TESTBOX")
+        noise = NoiseModel(sigma=0.0)
+        md = generate_machine_description(machine, noise=noise)
+        generator = WorkloadDescriptionGenerator(machine, md, noise=noise)
+        rack = Rack(
+            machines=(RackMachine("node-0", machine, md),
+                      RackMachine("node-1", machine, md))
+        )
+        trace = replay_trace(
+            [{"workload": n, "arrival_s": i * 0.5, "job": n}
+             for i, n in enumerate(names)],
+            {n: generator.generate(catalog.get(n)) for n in names},
+        )
+        timeline = OnlineScheduler(rack).run(trace).timeline
+        assert f"makespan {timeline.makespan_s:.2f}s," in out
+        assert (
+            f"mean queueing delay {timeline.mean_queueing_delay_s:.2f}s" in out
+        )
+
 
 class TestEvaluate:
     def test_evaluate_summary(self, capsys, tmp_path):

@@ -31,8 +31,7 @@ class TestTopLevelImports:
             Rack,
             RackMachine,
             RackScheduler,
-            TimelineScheduler,
-            WorkloadRequest,
+            Timeline,
             validate_schedule,
             validate_timeline,
         )
