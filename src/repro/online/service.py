@@ -584,29 +584,28 @@ class OnlineScheduler:
 
             best_key: Optional[Tuple[float, float, int]] = None
             best: Optional[Tuple[str, Placement]] = None
-            for machine in self.rack.machines:
-                for n, placement, joint in self.core.ladder(
-                    fleet, machine, detached.workload
-                ):
-                    ends = dict(base_ends)
-                    if machine.name != old_machine:
-                        ends.update(survivor_ends)
-                    target_end = now
-                    for outcome in joint.outcomes:
-                        if outcome.workload_name == detached.name:
-                            target_end = now + (
-                                1.0 - detached.done_fraction
-                            ) * outcome.predicted_time_s
-                            ends[detached.name] = target_end
-                        else:
-                            other = fleet.resident(outcome.workload_name)
-                            ends[other.name] = now + (
-                                1.0 - other.progress_at(now)
-                            ) * outcome.predicted_time_s
-                    key = (max(ends.values()), target_end, n)
-                    if best_key is None or key < best_key:
-                        best_key = key
-                        best = (machine.name, placement)
+            for machine, n, placement, joint in self.core.ladders(
+                fleet, detached.workload
+            ):
+                ends = dict(base_ends)
+                if machine.name != old_machine:
+                    ends.update(survivor_ends)
+                target_end = now
+                for outcome in joint.outcomes:
+                    if outcome.workload_name == detached.name:
+                        target_end = now + (
+                            1.0 - detached.done_fraction
+                        ) * outcome.predicted_time_s
+                        ends[detached.name] = target_end
+                    else:
+                        other = fleet.resident(outcome.workload_name)
+                        ends[other.name] = now + (
+                            1.0 - other.progress_at(now)
+                        ) * outcome.predicted_time_s
+                key = (max(ends.values()), target_end, n)
+                if best_key is None or key < best_key:
+                    best_key = key
+                    best = (machine.name, placement)
 
             unchanged = best is not None and (
                 best[0] == old_machine

@@ -96,7 +96,7 @@ class RackScheduler:
     """Assigns a batch of profiled workloads to a rack.
 
     Besides the offline :meth:`schedule` entry point, the scheduler
-    exposes its decision core — :meth:`solo_estimate`, :meth:`ladder`,
+    exposes its decision core — :meth:`solo_estimate`, :meth:`ladders`,
     :meth:`best_candidate`, :meth:`admit_batch` and
     :meth:`predict_machine` — over a caller-owned
     :class:`FleetOccupancy`, so the event-driven scheduler reuses the
@@ -257,8 +257,8 @@ class RackScheduler:
 
         Enumerates the thread-count ladder on every machine's free
         contexts and scores each candidate by re-predicting that
-        machine's co-schedule with the candidate added — the whole
-        ladder of one machine in one kernel call.  Selection is
+        machine's co-schedule with the candidate added — one kernel
+        call per machine description (:meth:`ladders`).  Selection is
         two-phase: find the minimum predicted fleet makespan, then —
         among candidates within ``MAKESPAN_SLACK`` (0.1%) of it — pick
         the one minimising the workload's own predicted time, then
@@ -270,25 +270,25 @@ class RackScheduler:
         machine can host the workload, naming it.
         """
         candidates: List[Tuple[float, float, int, Assignment, Dict[str, float]]] = []
-        for machine in self.rack.machines:
-            rungs = self.ladder(fleet, machine, workload, max_threads)
-            for n, placement, joint in rungs:
-                predictions = {
-                    o.workload_name: self._remaining_in(
-                        fleet, o.workload_name, o.predicted_time_s
-                    )
-                    for o in joint.outcomes
-                }
-                makespan = self._makespan_with(predicted_times, predictions)
-                candidates.append(
-                    (
-                        makespan,
-                        predictions[workload.name],
-                        n,
-                        Assignment(workload, machine.name, placement),
-                        predictions,
-                    )
+        for machine, n, placement, joint in self.ladders(
+            fleet, workload, max_threads
+        ):
+            predictions = {
+                o.workload_name: self._remaining_in(
+                    fleet, o.workload_name, o.predicted_time_s
                 )
+                for o in joint.outcomes
+            }
+            makespan = self._makespan_with(predicted_times, predictions)
+            candidates.append(
+                (
+                    makespan,
+                    predictions[workload.name],
+                    n,
+                    Assignment(workload, machine.name, placement),
+                    predictions,
+                )
+            )
 
         if not candidates:
             raise ReproError(
@@ -302,36 +302,47 @@ class RackScheduler:
         )
         return best_assignment, best_predictions
 
-    def ladder(
+    def ladders(
         self,
         fleet: FleetOccupancy,
-        machine: RackMachine,
         workload: WorkloadDescription,
         max_threads: Optional[int] = None,
-    ) -> List[Tuple[int, Placement, CoSchedulePrediction]]:
-        """*workload*'s candidate rungs on one machine, jointly predicted.
+    ) -> List[Tuple[RackMachine, int, Placement, CoSchedulePrediction]]:
+        """*workload*'s candidate rungs on every machine, jointly predicted.
 
-        One rung per :func:`candidate_thread_counts` entry on the
+        One rung per :func:`candidate_thread_counts` entry on each
         machine's free contexts (at most *max_threads* of them), each
-        scored as the machine's residents plus the workload on that
-        rung, all in one kernel call.  Returns ``(threads, placement,
-        joint prediction)`` in ladder order; empty when nothing is free.
+        scored as that machine's residents plus the workload on that
+        rung.  Machines that share a description share one joint
+        predictor, and all their rungs go in one kernel call; rows are
+        independent, so grouping changes no bit.  Returns ``(machine,
+        threads, placement, joint prediction)`` in rack order, ladder
+        order within a machine; machines with nothing free add none.
         """
-        occupied = fleet.occupied(machine.name)
-        free = machine.n_hw_threads - len(occupied)
-        if max_threads is not None:
-            free = min(free, max_threads)
-        rungs = [
-            (n, free_context_placement(machine, occupied, n))
-            for n in candidate_thread_counts(free)
-        ]
-        if not rungs:
-            return []
-        resident = fleet.co_scheduled(machine.name)
-        joints = self._joint[machine.name].predict_batch(
-            [resident + [CoScheduledWorkload(workload, p)] for _, p in rungs]
-        )
-        return [(n, p, joint) for (n, p), joint in zip(rungs, joints)]
+        rungs: List[Tuple[RackMachine, int, Placement]] = []
+        schedules: List[List[CoScheduledWorkload]] = []
+        groups: Dict[CoSchedulePredictor, List[int]] = {}
+        for machine in self.rack.machines:
+            occupied = fleet.occupied(machine.name)
+            free = machine.n_hw_threads - len(occupied)
+            if max_threads is not None:
+                free = min(free, max_threads)
+            counts = candidate_thread_counts(free)
+            if not counts:
+                continue
+            resident = fleet.co_scheduled(machine.name)
+            group = groups.setdefault(self._joint[machine.name], [])
+            for n in counts:
+                placement = free_context_placement(machine, occupied, n)
+                group.append(len(rungs))
+                rungs.append((machine, n, placement))
+                schedules.append(resident + [CoScheduledWorkload(workload, placement)])
+        joints: List[Optional[CoSchedulePrediction]] = [None] * len(rungs)
+        for predictor, rows in groups.items():
+            predictions = predictor.predict_batch([schedules[i] for i in rows])
+            for i, prediction in zip(rows, predictions):
+                joints[i] = prediction
+        return [rung + (joint,) for rung, joint in zip(rungs, joints)]
 
     def predict_machine(
         self, machine_name: str, jobs: Sequence[CoScheduledWorkload]
