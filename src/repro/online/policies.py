@@ -19,10 +19,15 @@ Three built-ins:
 * :class:`LoadBalancePolicy` — FIFO, emptiest machine first, takes
   half its free contexts.  Spreads load but is still contention-blind.
 * :class:`PredictedSlowdownPolicy` — the contention-sensitive policy:
-  admits the whole pending set as a batch through the
+  admits the pending set as a batch through the
   :meth:`~repro.rack.scheduler.RackScheduler.admit_batch` core (LPT
   order, fair-share caps, refinement), scoring every candidate with
-  joint Pandia predictions.  On an empty fleet this reproduces the
+  joint Pandia predictions.  A job waits instead when its best
+  candidate costs more (its own predicted time plus the time it adds
+  to its co-runners) than waiting for the next free predicted
+  departure and then running at its solo estimate; it is scored again
+  once the clock reaches that departure, or when nothing runs.  On an
+  empty fleet nothing can be waited for, so this reproduces the
   offline batch scheduler exactly.
 """
 
@@ -154,12 +159,24 @@ class LoadBalancePolicy(PlacementPolicy):
 class PredictedSlowdownPolicy(PlacementPolicy):
     """Joint-prediction admission through the shared batch core.
 
-    The whole pending set is admitted as one batch: LPT order by cached
+    The pending set is admitted as one batch: LPT order by cached
     solo estimates, fair-share caps against the fleet's free contexts,
     every (machine, thread-count) candidate scored by re-predicting the
     target machine's co-schedule, then ``refinement_rounds`` uncapped
     re-placement passes over the batch.  Jobs that fit nowhere right
     now stay pending (no head-of-line blocking — a batch policy).
+
+    A job also stays pending when waiting is predicted to finish it
+    sooner.  With k jobs already waiting, it waits for the (k+1)-th
+    earliest predicted departure of the running jobs when its best
+    candidate's cost — its own predicted time plus the time it adds to
+    that machine's residents — exceeds that departure's remaining time
+    plus the job's solo estimate (see
+    :meth:`~repro.rack.scheduler.RackScheduler.admit_batch`).  A
+    waiting job is left out of the batch, unscored, until the
+    simulated clock reaches the departure it waits for or no job is
+    running.  With nothing running there is nothing to wait for, so a
+    cold start never waits.
 
     For a singleton batch the fair-share cap equals the free-context
     count and re-placement re-runs the identical (pure) candidate
@@ -175,21 +192,35 @@ class PredictedSlowdownPolicy(PlacementPolicy):
                 f"refinement_rounds cannot be negative, got {refinement_rounds}"
             )
         self.refinement_rounds = refinement_rounds
+        #: Each waiting job's awaited departure, in simulated seconds.
+        self._waits: Dict[str, float] = {}
 
     def admit(self, fleet, workloads):
         core = self._core()
-        rounds = self.refinement_rounds if len(workloads) > 1 else 0
+        residents = fleet.residents()
         scratch_times: Dict[str, float] = {
-            r.name: max(0.0, r.end_s - r.last_update_s) for r in fleet.residents()
+            r.name: max(0.0, r.end_s - r.last_update_s) for r in residents
         }
-        placed, skipped = core.admit_batch(
+        # The service advances every resident to the decision instant
+        # before it asks, so their last update is the clock.  A waiting
+        # job is held, not scored, until the clock reaches its awaited
+        # departure or nothing runs.
+        waits: Dict[str, float] = {}
+        if residents:
+            now = max(r.last_update_s for r in residents)
+            waits = {name: due for name, due in self._waits.items() if due > now}
+        scored = [w for w in workloads if w.name not in waits]
+        placed, _ = core.admit_batch(
             fleet,
             scratch_times,
-            workloads,
-            refinement_rounds=rounds,
+            scored,
+            refinement_rounds=self.refinement_rounds if len(scored) > 1 else 0,
             strict=False,
+            waits=waits,
         )
-        return placed, skipped
+        self._waits = waits
+        admitted = {a.workload.name for a in placed}
+        return placed, [w for w in workloads if w.name not in admitted]
 
 
 _REGISTRY: Dict[str, Type[PlacementPolicy]] = {

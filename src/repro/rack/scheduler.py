@@ -26,6 +26,7 @@ scheduled identically to an offline batch, which
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro import obs
@@ -58,16 +59,22 @@ def free_context_placement(
             f"machine {machine.name}: a placement needs at least one thread, "
             f"got {n_threads}"
         )
-    topo = machine.spec.topology
-    order: List[int] = []
-    for way in range(topo.threads_per_core):
-        for core in topo.cores:
-            tid = core.hw_thread_ids[way]
-            if tid not in occupied:
-                order.append(tid)
+    order = _free_contexts(machine, occupied)
     if len(order) < n_threads:
         return None
-    return Placement(topo, tuple(order[:n_threads]))
+    return Placement(machine.spec.topology, tuple(order[:n_threads]))
+
+
+def _free_contexts(machine: RackMachine, occupied: Set[int]) -> List[int]:
+    """The machine's free contexts in placement order: one per core
+    first, then each further SMT way."""
+    topo = machine.spec.topology
+    return [
+        core.hw_thread_ids[way]
+        for way in range(topo.threads_per_core)
+        for core in topo.cores
+        if core.hw_thread_ids[way] not in occupied
+    ]
 
 
 def candidate_thread_counts(free: int) -> List[int]:
@@ -191,6 +198,7 @@ class RackScheduler:
         workloads: Sequence[WorkloadDescription],
         refinement_rounds: int = 1,
         strict: bool = True,
+        waits: Optional[Dict[str, float]] = None,
     ) -> Tuple[List[Assignment], List[WorkloadDescription]]:
         """Admit a batch of workloads onto a (possibly occupied) fleet.
 
@@ -200,13 +208,31 @@ class RackScheduler:
         workload that fits nowhere raises; otherwise it is returned in
         the skipped list and the rest of the batch proceeds.
 
+        With *waits*, a workload may also wait for a running job to
+        leave.  *waits* maps each waiting job to the predicted departure
+        time (``Resident.end_s``) of the running job it waits for; its
+        entries on entry are jobs still waiting from an earlier call,
+        which are not in *workloads* and are not scored.  Let
+        r₁ ≤ r₂ ≤ … be the finite entries of *predicted_times* when the
+        call starts, the remaining times of the jobs running then (an
+        offline or cold-start batch has none, so it never waits).  In
+        LPT order, let k count the jobs already waiting: the entries of
+        *waits* so far.  A workload waits when its best candidate costs
+        more than r_{k+1} plus its :meth:`solo_estimate`; it is then
+        skipped and entered in *waits*.  A candidate's cost is the
+        workload's own predicted time plus the time it adds to that
+        machine's residents, both from the joint prediction that
+        scored it.
+
         Returns ``(placed, skipped)`` where *placed* holds the final
         assignment of every admitted workload in batch order.
         """
         with obs.span("rack.greedy", batch=len(workloads)) as greedy_span:
             ordered = sorted(workloads, key=self.solo_estimate, reverse=True)
             remaining = fleet.total_free_contexts()
-            placed: List[WorkloadDescription] = []
+            departures = sorted(
+                (t, name) for name, t in predicted_times.items() if math.isfinite(t)
+            )
             skipped: List[WorkloadDescription] = []
             skipped_names: Set[str] = set()
             for i, workload in enumerate(ordered):
@@ -221,10 +247,17 @@ class RackScheduler:
                     skipped.append(workload)
                     skipped_names.add(workload.name)
                     continue
+                if waits is not None and len(waits) < len(departures):
+                    left_s, awaited = departures[len(waits)]
+                    cost = self._cost(predicted_times, predictions, workload.name)
+                    if cost > left_s + self.solo_estimate(workload):
+                        waits[workload.name] = fleet.resident(awaited).end_s
+                        skipped.append(workload)
+                        skipped_names.add(workload.name)
+                        continue
                 fleet.place(workload, assignment.machine_name, assignment.placement)
                 predicted_times.update(predictions)
                 remaining -= assignment.placement.n_threads
-                placed.append(workload)
             if greedy_span is not None:
                 greedy_span.attrs["free_threads_left"] = remaining
 
@@ -323,8 +356,8 @@ class RackScheduler:
         schedules: List[List[CoScheduledWorkload]] = []
         groups: Dict[CoSchedulePredictor, List[int]] = {}
         for machine in self.rack.machines:
-            occupied = fleet.occupied(machine.name)
-            free = machine.n_hw_threads - len(occupied)
+            order = _free_contexts(machine, fleet.occupied(machine.name))
+            free = len(order)
             if max_threads is not None:
                 free = min(free, max_threads)
             counts = candidate_thread_counts(free)
@@ -333,7 +366,7 @@ class RackScheduler:
             resident = fleet.co_scheduled(machine.name)
             group = groups.setdefault(self._joint[machine.name], [])
             for n in counts:
-                placement = free_context_placement(machine, occupied, n)
+                placement = Placement(machine.spec.topology, tuple(order[:n]))
                 group.append(len(rungs))
                 rungs.append((machine, n, placement))
                 schedules.append(resident + [CoScheduledWorkload(workload, placement)])
@@ -425,6 +458,20 @@ class RackScheduler:
         if name in fleet:
             return (1.0 - fleet.resident(name).done_fraction) * predicted_total_s
         return predicted_total_s
+
+    @staticmethod
+    def _cost(
+        predicted_times: Dict[str, float],
+        predictions: Dict[str, float],
+        name: str,
+    ) -> float:
+        """What a candidate charges turnaround: the workload's own
+        predicted time plus the time it adds to its co-runners."""
+        return predictions[name] + sum(
+            t - predicted_times[other]
+            for other, t in predictions.items()
+            if other != name
+        )
 
     @staticmethod
     def _makespan_with(
