@@ -10,6 +10,8 @@ entry per placement it ran on, so no context is held twice.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro.online import OnlineScheduler, poisson_trace, replay_trace
@@ -124,39 +126,38 @@ PINNED_DECISIONS = [
     ('cpu-00001', 'place', 0.43875478100377213, 'node-1', (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15), 0.6500000000000001),
     ('cpu-00002', 'place', 1.869889386141687, 'node-1', (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15), 0.6500000000000001),
     ('mem-00003', 'place', 2.9242732502075675, 'node-1', (0, 1, 2, 3, 4, 5, 6, 7), 9.999990953831068),
-    ('mem-00004', 'place', 3.022834253669723, 'node-0', (8, 9, 10, 11, 12, 13, 14, 15), 19.999981907662136),
-    ('cpu-00005', 'place', 5.2607281111654585, 'node-1', (8, 9, 10, 11, 12, 13, 14, 15), 4.111107392130551),
-    ('mem-00006', 'place', 9.371835503296008, 'node-1', (8, 9), 45.47365415076376),
-    ('mem-00008', 'place', 9.371835503296008, 'node-1', (10, 11), 45.47365415076376),
-    ('mem-00009', 'place', 9.371835503296008, 'node-1', (12, 13), 33.80699519618895),
-    ('cpu-00007', 'place', 9.371835503296008, 'node-1', (14, 15), 13.522798078475578),
-    ('mem-00010', 'place', 14.02668709388996, 'node-1', (0, 1), 37.33330865463938),
-    ('mid-00011', 'place', 14.02668709388996, 'node-1', (2, 3), 37.33330865463938),
-    ('cpu-00012', 'place', 14.02668709388996, 'node-1', (4, 5), 5.199996562610483),
-    ('cpu-00013', 'place', 14.02668709388996, 'node-1', (6, 7), 5.199996562610483),
-    ('mid-00014', 'place', 17.26572978221143, 'node-0', (0, 1, 2, 3), 12.49121981301844),
-    ('cpu-00015', 'place', 17.26572978221143, 'node-0', (4, 5, 6, 7), 4.5964881896219545),
-    ('mid-00011', 'migrate', 17.43672775165866, 'node-1', (2, 3, 14, 15), 19.372536213646903),
-    ('mem-00017', 'place', 19.35744482806847, 'node-1', (4,), 40.03203667706858),
-    ('mid-00016', 'place', 19.35744482806847, 'node-1', (5,), 40.03203667706858),
-    ('cpu-00018', 'place', 19.35744482806847, 'node-1', (6,), 15.884710180345829),
-    ('mid-00016', 'migrate', 20.144272971771642, 'node-0', (8, 9, 10, 11, 12, 13, 14, 15), 2.85),
-    ('mem-00017', 'migrate', 20.936626449009758, 'node-0', (4, 5, 6, 7), 13.239757329903439),
-    ('mem-00019', 'place', 22.250851598337064, 'node-1', (4, 5, 7), 21.144521723764168),
-    ('mid-00020', 'place', 24.222912757714013, 'node-0', (0, 1, 2, 3), 5.300000000000001),
-    ('mem-00021', 'place', 25.93570433386464, 'node-0', (8, 9, 10, 11), 13.333324519514065),
-    ('mid-00022', 'place', 25.93570433386464, 'node-0', (12, 13, 14, 15), 13.333324519514065),
-    ('mem-00023', 'place', 31.125293764729264, 'node-1', (12, 13), 31.10684445899921),
-    ('mem-00023', 'migrate', 33.6951652581939, 'node-0', (4, 5, 6, 7), 13.333324519514065),
-    ('mem-00010', 'migrate', 34.96012207618884, 'node-0', (0, 1, 2, 3), 23.999984135125313),
-    ('mem-00023', 'migrate', 42.71615427513059, 'node-1', (0, 1, 2, 3, 4, 5, 6, 7, 12, 13, 14, 15), 10.784306596665786),
+    ('cpu-00005', 'place', 5.2607281111654585, 'node-0', (8, 9, 10, 11, 12, 13, 14, 15), 4.111107392130551),
+    ('cpu-00007', 'place', 7.017891304081755, 'node-1', (8, 9, 10, 11), 4.5964881896219545),
+    ('mem-00004', 'place', 10.255393028538702, 'node-0', (0, 1, 2, 3, 4, 5, 6, 7), 9.999990953831068),
+    ('mem-00010', 'place', 11.50775014766759, 'node-0', (8, 9, 10, 11, 12, 13, 14, 15), 19.999981907662136),
+    ('mid-00011', 'place', 11.530325167737315, 'node-1', (12, 13, 14, 15), 12.49121981301844),
+    ('mem-00008', 'place', 11.614379493703709, 'node-1', (8, 9, 10, 11), 23.15787942862969),
+    ('cpu-00012', 'place', 13.245557077481752, 'node-1', (0, 1, 2, 3, 4, 5, 6, 7), 2.647796991846897),
+    ('cpu-00013', 'place', 15.89335406932865, 'node-1', (0, 1, 2, 3), 4.933330072220205),
+    ('cpu-00015', 'place', 15.89335406932865, 'node-1', (4, 5, 6, 7), 2.12),
+    ('mid-00016', 'place', 17.817787551548737, 'node-1', (12, 13, 14, 15), 5.300000000000001),
+    ('mem-00010', 'migrate', 18.01335406932865, 'node-1', (4, 5), 14.566028107167252),
+    ('cpu-00018', 'place', 19.209191499096466, 'node-0', (8, 9, 10, 11, 12, 13, 14, 15), 4.111107392130551),
+    ('mid-00020', 'place', 22.789014056513125, 'node-1', (0, 1, 2, 3, 6, 7), 8.968547530578798),
+    ('mid-00020', 'migrate', 23.619296953798422, 'node-0', (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15), 1.6250000000000004),
+    ('mem-00009', 'place', 24.66202053022651, 'node-1', (0, 1, 2, 3, 6, 7, 8, 9, 10, 11), 9.999990953831068),
+    ('mem-00006', 'place', 25.34248090316094, 'node-0', (0, 1, 2, 3), 11.999992067562657),
+    ('mem-00021', 'place', 25.34248090316094, 'node-0', (4, 5), 11.999992067562657),
+    ('mid-00022', 'place', 25.54816067030658, 'node-0', (6, 7, 8, 9), 12.666658293538358),
+    ('mem-00017', 'place', 34.66201148405758, 'node-1', (0, 1, 2, 3, 4, 5, 6, 7), 9.999990953831068),
+    ('mem-00019', 'place', 38.5564131576088, 'node-0', (0, 1, 2, 3, 4, 5, 6, 7), 19.999981907662136),
+    ('mem-00023', 'place', 38.5564131576088, 'node-0', (8, 9, 10, 11, 12, 13, 14, 15), 19.999981907662136),
+    ('mid-00014', 'place', 44.662002437888646, 'node-1', (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15), 1.6250000000000004),
+    ('mem-00023', 'migrate', 46.287002437888646, 'node-1', (0, 1, 2, 3, 4, 5, 6, 7), 9.999990953831068),
 ]
 
 
-def _churn_run(rack, pool, migrate=True):
-    """24 Poisson jobs at 1/s (seed 1) with a zero hysteresis bar: six
-    migrations, one job moved twice."""
-    trace = poisson_trace(pool, n_jobs=24, rate_per_s=1.0, seed=1)
+def _churn_run(rack, pool, migrate=True, seed=1):
+    """24 Poisson jobs at 1/s with a zero hysteresis bar.  Seed 1
+    migrates three times and moves no job twice; seed 4, the first
+    seed that moves a job twice (three jobs, ten migrations), keeps
+    that timeline path covered."""
+    trace = poisson_trace(pool, n_jobs=24, rate_per_s=1.0, seed=seed)
     return OnlineScheduler(
         rack, migrate=migrate, hysteresis=0.0
     ).run(trace)
@@ -189,21 +190,14 @@ class TestMigratedTimeline:
         ] == PINNED_DECISIONS
 
     def test_one_entry_per_placement_in_time_order(self, rack, pool):
-        run = _churn_run(rack, pool)
-        moves = [d for d in run.decisions if d.kind == "migrate"]
-        for job in run.completed:
-            entries = [
-                e for e in run.timeline.entries if e.workload_name == job.name
-            ]
-            placed = [d for d in run.decisions if d.job_name == job.name]
-            assert len(entries) == len(placed)
-            assert entries[0].start_s == job.start_s
-            assert entries[-1].end_s == job.end_s
-            for before, after, decision in zip(entries, entries[1:], placed[1:]):
-                assert before.end_s == after.start_s == decision.time_s
-                assert after.machine_name == decision.machine_name
-                assert after.placement.hw_thread_ids == decision.hw_thread_ids
-        assert len(run.timeline.entries) == len(run.completed) + len(moves)
+        _assert_one_entry_per_placement(_churn_run(rack, pool))
+
+    def test_double_moves_keep_one_entry_per_placement(self, rack, pool):
+        run = _churn_run(rack, pool, seed=4)
+        moves = Counter(d.job_name for d in run.decisions if d.kind == "migrate")
+        assert max(moves.values()) == 2
+        _assert_one_entry_per_placement(run)
+        assert _double_holds(run.timeline) == []
 
     def test_no_context_is_held_twice(self, rack, pool):
         assert _double_holds(_churn_run(rack, pool).timeline) == []
@@ -216,3 +210,21 @@ class TestMigratedTimeline:
         for job in run.completed:
             entry = run.timeline.entry_for(job.name)
             assert (entry.start_s, entry.end_s) == (job.start_s, job.end_s)
+
+
+def _assert_one_entry_per_placement(run):
+    """Each job's timeline entries follow its decisions, in time order."""
+    moves = [d for d in run.decisions if d.kind == "migrate"]
+    for job in run.completed:
+        entries = [
+            e for e in run.timeline.entries if e.workload_name == job.name
+        ]
+        placed = [d for d in run.decisions if d.job_name == job.name]
+        assert len(entries) == len(placed)
+        assert entries[0].start_s == job.start_s
+        assert entries[-1].end_s == job.end_s
+        for before, after, decision in zip(entries, entries[1:], placed[1:]):
+            assert before.end_s == after.start_s == decision.time_s
+            assert after.machine_name == decision.machine_name
+            assert after.placement.hw_thread_ids == decision.hw_thread_ids
+    assert len(run.timeline.entries) == len(run.completed) + len(moves)
