@@ -29,8 +29,9 @@ POOL = {
     )
 }
 
-#: Where the compute job of the pinned case ended when it was placed at
-#: once, beside the DRAM hog on node-0's free SMT contexts (8-11).
+#: Where the compute job of the pinned case ends if it is placed on
+#: arrival instead, beside the DRAM hog on node-0's free SMT contexts
+#: 8-11 (measured with a policy that never waits).
 IMMEDIATE_END_S = 5.5964881896219545
 
 
@@ -41,34 +42,22 @@ def _replay(rack, records, **kwargs):
     return OnlineScheduler(rack, **kwargs).run(trace)
 
 
-class TestPinnedWait:
+def test_second_arrival_waits_for_the_first_departure(rack):
     """2×TESTBOX: at t=0 a wide job fills node-1 and a DRAM hog takes
     one context per core of node-0.  A compute job arriving at t=1 could
     start at once on node-0's free SMT contexts, beside the hog.
     Waiting for the wide job's predicted departure at 1.90 s and then
-    running alone on node-1 is predicted to cost less, so it waits."""
-
-    RECORDS = [("wide", 0.0, "wide"), ("mem", 0.0, "hog"), ("cpu", 1.0, "late")]
-
-    def test_second_arrival_waits_for_the_first_departure(self, rack):
-        run = _replay(rack, self.RECORDS)
-        jobs = {c.name: c for c in run.completed}
-        (decision,) = [d for d in run.decisions if d.job_name == "late"]
-        assert jobs["late"].start_s == jobs["wide"].end_s == decision.time_s
-        assert decision.machine_name == "node-1"
-        assert decision.n_threads == 16
-
-    def test_waiting_finishes_it_sooner(self, rack):
-        run = _replay(rack, self.RECORDS)
-        late = next(c for c in run.completed if c.name == "late")
-        assert late.end_s == pytest.approx(2.5531, abs=1e-4)
-        assert late.end_s < IMMEDIATE_END_S
-
-    def test_nothing_waits_on_an_empty_fleet(self, rack):
-        # The same three jobs at t=0 are a cold-start batch: nothing
-        # runs yet, so there is no departure to wait for.
-        run = _replay(rack, [(w, 0.0, j) for w, _, j in self.RECORDS])
-        assert all(c.start_s == 0.0 for c in run.completed)
+    running alone on node-1 is predicted to cost less, so it waits, and
+    it finishes sooner."""
+    run = _replay(
+        rack, [("wide", 0.0, "wide"), ("mem", 0.0, "hog"), ("cpu", 1.0, "late")]
+    )
+    jobs = {c.name: c for c in run.completed}
+    (decision,) = [d for d in run.decisions if d.job_name == "late"]
+    assert jobs["late"].start_s == jobs["wide"].end_s == decision.time_s
+    assert (decision.machine_name, decision.n_threads) == ("node-1", 16)
+    assert jobs["late"].end_s == pytest.approx(2.5531, abs=1e-4)
+    assert jobs["late"].end_s < IMMEDIATE_END_S
 
 
 def _idle_while_pending(run):
