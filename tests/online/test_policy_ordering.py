@@ -61,8 +61,8 @@ def test_predicted_slowdown_leads_on_the_benchmark_trace(testbox, testbox_md):
     jobs at 0.3 jobs/s.  Waiting for a predicted departure when that
     finishes a job sooner puts predicted-slowdown's mean turnaround
     below both contention-blind baselines (8.01 vs 8.30 vs 14.14 s).
-    The test takes about 18 s on a 2-core host (tier-1's
-    ``--durations=15`` list), most of it the predicted-slowdown replay."""
+    The test takes 16-18 s on a 2-core host (two tier-1 runs'
+    ``--durations=15`` lists), most of it the predicted-slowdown replay."""
     big = machines.get("X3-2")
     big_md = generate_machine_description(big, noise=NO_NOISE)
     fleet = Rack(
