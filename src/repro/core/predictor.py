@@ -917,10 +917,6 @@ class PandiaPredictor:
         solved = self._solve_batch(rows, "predictor.predict_batch", self._predictions)
         return [row[0] for row in solved]
 
-    def predict_time(self, workload: WorkloadDescription, placement: Placement) -> float:
-        """Convenience: predicted absolute execution time in seconds."""
-        return self.predict(workload, placement).predicted_time_s
-
     def full_load_ratios(
         self, workload: WorkloadDescription, placement: Placement
     ) -> Dict[ResourceKey, float]:

@@ -37,10 +37,6 @@ class PredictionError(ReproError):
     """The performance predictor failed to produce a stable prediction."""
 
 
-class ConvergenceError(PredictionError):
-    """An iterative fixed point failed to converge within its budget."""
-
-
 class LintError(ReproError):
     """The static invariant checker was misconfigured or cannot run.
 

@@ -23,7 +23,6 @@ from repro.core.sweep import sweep_placements
 from repro.core.predictor import PandiaPredictor
 from repro.core.description import WorkloadDescription
 from repro.core.workload_desc import WorkloadDescriptionGenerator
-from repro.errors import ReproError
 from repro.hardware import machines
 from repro.hardware.spec import MachineSpec
 from repro.sim.noise import NoiseModel
@@ -240,10 +239,3 @@ class ExperimentContext:
 
     def workloads(self) -> List[str]:
         return self.scale.workloads()
-
-
-def require_workloads(context: ExperimentContext, minimum: int = 1) -> List[str]:
-    names = context.workloads()
-    if len(names) < minimum:
-        raise ReproError(f"experiment needs at least {minimum} workloads")
-    return names

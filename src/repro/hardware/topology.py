@@ -37,10 +37,6 @@ class Core:
     socket_id: int
     hw_thread_ids: Tuple[int, ...]
 
-    @property
-    def smt_ways(self) -> int:
-        return len(self.hw_thread_ids)
-
 
 @dataclass(frozen=True)
 class Socket:

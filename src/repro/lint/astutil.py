@@ -8,17 +8,15 @@ stays zero-dependency and works on every Python the package supports.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, Optional, Sequence, Tuple, Type
+from typing import Dict, Optional, Sequence, Tuple, Type
 
 __all__ = [
     "ImportMap",
     "build_parents",
     "dotted",
     "enclosing",
-    "enclosing_function",
     "enclosing_loop",
     "resolved_call_name",
-    "walk_with_parents",
 ]
 
 #: Scope boundaries: a loop outside one of these is not "the same loop".
@@ -80,17 +78,6 @@ class ImportMap:
             return name
         return target + sep + rest
 
-    def local_names_for(self, qualified_prefix: str) -> Tuple[str, ...]:
-        """Every local alias whose target starts with *qualified_prefix*."""
-        return tuple(
-            sorted(
-                local
-                for local, target in self._aliases.items()
-                if target == qualified_prefix
-                or target.startswith(qualified_prefix + ".")
-            )
-        )
-
 
 def build_parents(tree: ast.AST) -> Dict[int, ast.AST]:
     """``id(child) -> parent`` for every node under *tree*."""
@@ -99,17 +86,6 @@ def build_parents(tree: ast.AST) -> Dict[int, ast.AST]:
         for child in ast.iter_child_nodes(node):
             parents[id(child)] = node
     return parents
-
-
-def walk_with_parents(tree: ast.AST) -> Iterator[Tuple[ast.AST, Optional[ast.AST]]]:
-    """Yield ``(node, parent)`` pairs in document order."""
-    stack: list = [(tree, None)]
-    while stack:
-        node, parent = stack.pop()
-        yield node, parent
-        stack.extend(
-            (child, node) for child in reversed(list(ast.iter_child_nodes(node)))
-        )
 
 
 def enclosing(
@@ -131,13 +107,6 @@ def enclosing(
             return None
         current = parents.get(id(current))
     return None
-
-
-def enclosing_function(
-    node: ast.AST, parents: Dict[int, ast.AST]
-) -> Optional[ast.AST]:
-    """The nearest enclosing function/lambda, or ``None`` at module scope."""
-    return enclosing(node, parents, _FUNCTION_NODES)
 
 
 def enclosing_loop(node: ast.AST, parents: Dict[int, ast.AST]) -> Optional[ast.AST]:

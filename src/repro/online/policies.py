@@ -162,9 +162,10 @@ class PredictedSlowdownPolicy(PlacementPolicy):
     The pending set is admitted as one batch: LPT order by cached
     solo estimates, fair-share caps against the fleet's free contexts,
     every (machine, thread-count) candidate scored by re-predicting the
-    target machine's co-schedule, then ``refinement_rounds`` uncapped
-    re-placement passes over the batch.  Jobs that fit nowhere right
-    now stay pending (no head-of-line blocking — a batch policy).
+    target machine's co-schedule, then, for two or more jobs, one
+    uncapped re-placement pass over the batch.  Jobs that find no free
+    context right now stay pending (no head-of-line blocking — a batch
+    policy).
 
     A job also stays pending when waiting is predicted to finish it
     sooner.  With k jobs already waiting, it waits for the (k+1)-th
@@ -174,24 +175,15 @@ class PredictedSlowdownPolicy(PlacementPolicy):
     plus the job's solo estimate (see
     :meth:`~repro.rack.scheduler.RackScheduler.admit_batch`).  A
     waiting job is left out of the batch, unscored, until the
-    simulated clock reaches the departure it waits for or no job is
-    running.  With nothing running there is nothing to wait for, so a
-    cold start never waits.
-
-    For a singleton batch the fair-share cap equals the free-context
-    count and re-placement re-runs the identical (pure) candidate
-    search, so refinement is skipped as an exact no-op.
+    simulated clock (``fleet.now``) reaches the departure it waits for
+    or no job is running.  With nothing running there is nothing to
+    wait for, so a cold start never waits.
     """
 
     name = "predicted-slowdown"
 
-    def __init__(self, refinement_rounds: int = 1) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        if refinement_rounds < 0:
-            raise ReproError(
-                f"refinement_rounds cannot be negative, got {refinement_rounds}"
-            )
-        self.refinement_rounds = refinement_rounds
         #: Each waiting job's awaited departure, in simulated seconds.
         self._waits: Dict[str, float] = {}
 
@@ -199,25 +191,17 @@ class PredictedSlowdownPolicy(PlacementPolicy):
         core = self._core()
         residents = fleet.residents()
         scratch_times: Dict[str, float] = {
-            r.name: max(0.0, r.end_s - r.last_update_s) for r in residents
+            r.name: max(0.0, r.end_s - fleet.now) for r in residents
         }
-        # The service advances every resident to the decision instant
-        # before it asks, so their last update is the clock.  A waiting
-        # job is held, not scored, until the clock reaches its awaited
-        # departure or nothing runs.
+        # A waiting job is held, not scored, until the clock reaches its
+        # awaited departure or nothing runs.
         waits: Dict[str, float] = {}
         if residents:
-            now = max(r.last_update_s for r in residents)
-            waits = {name: due for name, due in self._waits.items() if due > now}
+            waits = {
+                name: due for name, due in self._waits.items() if due > fleet.now
+            }
         scored = [w for w in workloads if w.name not in waits]
-        placed, _ = core.admit_batch(
-            fleet,
-            scratch_times,
-            scored,
-            refinement_rounds=self.refinement_rounds if len(scored) > 1 else 0,
-            strict=False,
-            waits=waits,
-        )
+        placed, _ = core.admit_batch(fleet, scratch_times, scored, waits=waits)
         self._waits = waits
         admitted = {a.workload.name for a in placed}
         return placed, [w for w in workloads if w.name not in admitted]

@@ -77,7 +77,7 @@ _COUNTER_FIELDS = (
     "deferrals",
 )
 _TIME_FIELDS = ("wall_time_s",)
-#: Decision-latency buckets (microseconds of wall clock per decision).
+#: Admission-latency buckets (microseconds of wall clock per admit call).
 _DECISION_US_BUCKETS = (
     50.0, 100.0, 250.0, 500.0, 1000.0, 2500.0,
     5000.0, 10000.0, 50000.0, 250000.0,
@@ -93,6 +93,8 @@ class OnlineStats:
     service bumps live in a :class:`repro.obs.Metrics` registry, so
     they merge/export like every other metric.  ``deferrals`` counts
     deferral *instances* — a job bounced at three drains counts three.
+    ``online.decision_us`` holds one sample per policy admit call, its
+    wall time, whether the call placed any job or none.
     """
 
     __slots__ = ("metrics",)
@@ -158,10 +160,11 @@ class OnlineStats:
 
     @property
     def mean_decision_us(self) -> float:
+        """Mean wall time of one admit call (microseconds)."""
         return self.metrics.histogram("online.decision_us", _DECISION_US_BUCKETS).mean
 
     def decision_us_percentile(self, q: float) -> float:
-        """Interpolated decision-latency quantile (microseconds)."""
+        """Interpolated admit-call latency quantile (microseconds)."""
         return self.metrics.histogram(
             "online.decision_us", _DECISION_US_BUCKETS
         ).percentile(q)
@@ -187,12 +190,16 @@ class OnlineStats:
         return OnlineStats(self.metrics.snapshot())
 
     def summary(self) -> str:
+        admit_calls = self.metrics.histogram(
+            "online.decision_us", _DECISION_US_BUCKETS
+        ).count
         return "\n".join(
             [
                 "online scheduler stats:",
                 f"  arrivals:     {self.arrivals}",
                 f"  departures:   {self.departures}",
-                f"  decisions:    {self.decisions} "
+                f"  decisions:    {self.decisions}",
+                f"  admit calls:  {admit_calls} "
                 f"(latency mean {self.mean_decision_us:.0f} us, "
                 f"p50 {self.decision_us_percentile(0.50):.0f} / "
                 f"p99 {self.decision_us_percentile(0.99):.0f} us)",
@@ -378,7 +385,6 @@ class OnlineScheduler:
         decisions: List[Decision] = []
         completed: List[CompletedJob] = []
         busy_thread_seconds = 0.0
-        now = 0.0
 
         for job in trace.jobs:
             loop.push(Event(job.arrival_s, EventKind.ARRIVAL, job.name))
@@ -386,10 +392,10 @@ class OnlineScheduler:
         with obs.span("online.run", jobs=len(trace), policy=self.policy.name):
             while loop:
                 event = loop.pop()
-                busy_thread_seconds += fleet.occupied_total() * (loop.now - now)
-                now = loop.now
+                busy_thread_seconds += fleet.occupied_total() * (loop.now - fleet.now)
+                fleet.now = loop.now
                 if recorder is not None:
-                    recorder.sample_at(now)
+                    recorder.sample_at(fleet.now)
 
                 if event.kind is EventKind.DEPARTURE:
                     if event.version != versions[event.job_name]:
@@ -397,15 +403,16 @@ class OnlineScheduler:
                         continue
                     log.append(event)
                     self._depart(
-                        event.job_name, now, fleet, loop, versions,
+                        event.job_name, fleet, loop, versions,
                         jobs, timeline, moved_off, completed, stats,
                     )
                     self._drain(
-                        now, fleet, loop, versions, jobs, pending,
-                        decisions, stats,
+                        fleet, loop, versions, jobs, pending, decisions, stats
                     )
                     if self.migrate and len(fleet):
-                        loop.push(Event(now, EventKind.RESCHEDULE, event.job_name))
+                        loop.push(
+                            Event(fleet.now, EventKind.RESCHEDULE, event.job_name)
+                        )
                 elif event.kind is EventKind.ARRIVAL:
                     batch = [event]
                     while True:
@@ -413,7 +420,7 @@ class OnlineScheduler:
                         if (
                             upcoming is None
                             or upcoming.kind is not EventKind.ARRIVAL
-                            or upcoming.time_s > now
+                            or upcoming.time_s > fleet.now
                         ):
                             break
                         batch.append(loop.pop())
@@ -422,13 +429,12 @@ class OnlineScheduler:
                         pending.append(arrival.job_name)
                     stats.inc("arrivals", len(batch))
                     self._drain(
-                        now, fleet, loop, versions, jobs, pending,
-                        decisions, stats,
+                        fleet, loop, versions, jobs, pending, decisions, stats
                     )
                 else:  # RESCHEDULE
                     log.append(event)
                     self._consider_migration(
-                        now, fleet, loop, versions, moved_off, decisions, stats
+                        fleet, loop, versions, moved_off, decisions, stats
                     )
 
             if pending:
@@ -445,7 +451,7 @@ class OnlineScheduler:
             # visible.  Stale departure events may have advanced the
             # simulated clock past the makespan; keep timestamps
             # monotone by sampling at whichever is later.
-            recorder.sample(max(now, makespan))
+            recorder.sample(max(fleet.now, makespan))
         utilisation = (
             busy_thread_seconds / (self.rack.total_hw_threads * makespan)
             if makespan > 0
@@ -466,9 +472,10 @@ class OnlineScheduler:
     # -- event handlers --------------------------------------------------
 
     def _depart(
-        self, name, now, fleet, loop, versions, jobs, timeline, moved_off,
+        self, name, fleet, loop, versions, jobs, timeline, moved_off,
         completed, stats,
     ) -> None:
+        now = fleet.now
         resident = fleet.remove(name)
         job = jobs[name]
         stats.inc("departures")
@@ -502,14 +509,13 @@ class OnlineScheduler:
         with obs.span("online.departure", job=name, machine=resident.machine_name):
             # Survivors on the machine just got the departed job's
             # resources back: re-predict and move their departures up.
-            self._retime_machine(resident.machine_name, now, fleet, loop, versions)
+            self._retime_machine(resident.machine_name, fleet, loop, versions)
 
-    def _drain(
-        self, now, fleet, loop, versions, jobs, pending, decisions, stats
-    ) -> None:
+    def _drain(self, fleet, loop, versions, jobs, pending, decisions, stats) -> None:
         """Offer the whole pending queue to the policy."""
         if not pending:
             return
+        now = fleet.now
         # Bring every resident's done fraction up to `now` so the core
         # scores candidates in consistent remaining-seconds units.
         for resident in fleet.residents():
@@ -518,7 +524,7 @@ class OnlineScheduler:
         latency_start = time.perf_counter()
         with obs.span("online.admit", pending=len(workloads), policy=self.policy.name):
             placed, still_pending = self.policy.admit(fleet, workloads)
-        latency_s = time.perf_counter() - latency_start
+        stats.observe_decision_us((time.perf_counter() - latency_start) * 1e6)
         pending[:] = [w.name for w in still_pending]
         if still_pending:
             stats.inc("deferrals", len(still_pending))
@@ -537,13 +543,11 @@ class OnlineScheduler:
         # One joint re-prediction per touched machine times the
         # newcomers and re-times residents whose contention changed.
         for machine_name in affected:
-            self._retime_machine(machine_name, now, fleet, loop, versions)
+            self._retime_machine(machine_name, fleet, loop, versions)
 
-        per_decision_us = latency_s * 1e6 / len(placed)
         for assignment in placed:
             resident = fleet.resident(assignment.workload.name)
             stats.inc("decisions")
-            stats.observe_decision_us(per_decision_us)
             decisions.append(
                 Decision(
                     job_name=resident.name,
@@ -556,12 +560,19 @@ class OnlineScheduler:
             )
 
     def _consider_migration(
-        self, now, fleet, loop, versions, moved_off, decisions, stats
+        self, fleet, loop, versions, moved_off, decisions, stats
     ) -> None:
-        """Re-auction the latest-finishing resident across the fleet."""
+        """Re-auction the latest-finishing resident across the fleet.
+
+        Candidates are keyed by (predicted fleet makespan, the job's
+        own predicted end, threads), in absolute end times.  The other
+        residents are read at ``now`` but not advanced to it: advancing
+        one would change the rounding of its later progress.
+        """
         residents = fleet.residents()
         if not residents:
             return
+        now = fleet.now
         with obs.span("online.migrate"):
             target = max(residents, key=lambda r: (r.end_s, r.name))
             current_makespan = target.end_s
@@ -575,11 +586,8 @@ class OnlineScheduler:
             old_co = fleet.co_scheduled(old_machine)
             if old_co:
                 joint = self.core.predict_machine(old_machine, old_co)
-                for outcome in joint.outcomes:
-                    survivor = fleet.resident(outcome.workload_name)
-                    survivor_ends[survivor.name] = now + (
-                        1.0 - survivor.progress_at(now)
-                    ) * outcome.predicted_time_s
+                for name, left in self.core.seconds_left(fleet, joint).items():
+                    survivor_ends[name] = now + left
             base_ends = {r.name: r.end_s for r in fleet.residents()}
 
             best_key: Optional[Tuple[float, float, int]] = None
@@ -590,19 +598,10 @@ class OnlineScheduler:
                 ends = dict(base_ends)
                 if machine.name != old_machine:
                     ends.update(survivor_ends)
-                target_end = now
-                for outcome in joint.outcomes:
-                    if outcome.workload_name == detached.name:
-                        target_end = now + (
-                            1.0 - detached.done_fraction
-                        ) * outcome.predicted_time_s
-                        ends[detached.name] = target_end
-                    else:
-                        other = fleet.resident(outcome.workload_name)
-                        ends[other.name] = now + (
-                            1.0 - other.progress_at(now)
-                        ) * outcome.predicted_time_s
-                key = (max(ends.values()), target_end, n)
+                left = self.core.seconds_left(fleet, joint, detached.done_fraction)
+                for name, seconds in left.items():
+                    ends[name] = now + seconds
+                key = (max(ends.values()), ends[detached.name], n)
                 if best_key is None or key < best_key:
                     best_key = key
                     best = (machine.name, placement)
@@ -629,7 +628,7 @@ class OnlineScheduler:
             moved.done_fraction = detached.done_fraction
             moved.last_update_s = now
             for touched in dict.fromkeys((old_machine, machine_name)):
-                self._retime_machine(touched, now, fleet, loop, versions)
+                self._retime_machine(touched, fleet, loop, versions)
             stats.inc("migrations")
             stats.inc("decisions")
             decisions.append(
@@ -645,7 +644,7 @@ class OnlineScheduler:
 
     # -- internals -------------------------------------------------------
 
-    def _retime_machine(self, machine_name, now, fleet, loop, versions) -> None:
+    def _retime_machine(self, machine_name, fleet, loop, versions) -> None:
         """Joint-predict one machine's co-schedule and refresh end times."""
         co_resident = fleet.co_scheduled(machine_name)
         if not co_resident:
@@ -653,7 +652,7 @@ class OnlineScheduler:
         joint = self.core.predict_machine(machine_name, co_resident)
         for outcome in joint.outcomes:
             resident = fleet.resident(outcome.workload_name)
-            resident.retime(now, outcome.predicted_time_s)
+            resident.retime(fleet.now, outcome.predicted_time_s)
             versions[resident.name] += 1
             loop.push(
                 Event(

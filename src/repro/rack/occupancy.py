@@ -9,9 +9,10 @@ one model both share, so their views cannot drift apart.
 
 A :class:`Resident` is one workload pinned to one machine, optionally
 carrying the execution-time fields (``start_s`` / ``end_s``) the
-time-driven scheduler needs; the batch scheduler simply leaves them at
-their defaults.  Placement conflicts are rejected at ``place()`` time
-with errors that name the machine and the colliding hardware threads.
+time-driven scheduler needs; the batch scheduler simply leaves them
+(and the fleet's clock, ``FleetOccupancy.now``) at their defaults.
+Placement conflicts are rejected at ``place()`` time with errors that
+name the machine and the colliding hardware threads.
 """
 
 from __future__ import annotations
@@ -94,10 +95,15 @@ class FleetOccupancy:
 
     Deterministic: residents are kept in insertion order per machine
     and fleet-wide, matching the list bookkeeping this class replaced.
+
+    ``now`` is the decision instant in simulated seconds: 0 for the
+    offline batch problem; the time-driven scheduler sets it once per
+    event, and every decision it takes at that event reads it.
     """
 
     def __init__(self, rack: Rack) -> None:
         self.rack = rack
+        self.now = 0.0
         self._residents: Dict[str, Resident] = {}
         self._occupied: Dict[str, Set[int]] = {m.name: set() for m in rack.machines}
 

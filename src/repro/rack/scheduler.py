@@ -104,8 +104,8 @@ class RackScheduler:
 
     Besides the offline :meth:`schedule` entry point, the scheduler
     exposes its decision core — :meth:`solo_estimate`, :meth:`ladders`,
-    :meth:`best_candidate`, :meth:`admit_batch` and
-    :meth:`predict_machine` — over a caller-owned
+    :meth:`best_candidate`, :meth:`admit_batch`,
+    :meth:`predict_machine` and :meth:`seconds_left` — over a caller-owned
     :class:`FleetOccupancy`, so the event-driven scheduler reuses the
     exact same admission logic (and its migrator the same candidate
     ladders) on a partially occupied fleet.
@@ -143,18 +143,16 @@ class RackScheduler:
 
     # -- public API ------------------------------------------------------
 
-    def schedule(
-        self,
-        workloads: Sequence[WorkloadDescription],
-        refinement_rounds: int = 1,
-    ) -> RackSchedule:
+    def schedule(self, workloads: Sequence[WorkloadDescription]) -> RackSchedule:
         """Place every workload; raises if one cannot fit anywhere.
 
-        Two phases: a fair-share greedy pass (each workload's thread
-        count capped at its share of the remaining rack, so early
-        arrivals cannot starve later ones), then *refinement_rounds*
-        passes in which each workload is removed and re-placed without
-        a cap, letting it grow into space the fair shares left over.
+        Two phases (:meth:`admit_batch`): a fair-share greedy pass (each
+        workload's thread count capped at its share of the remaining
+        rack, so early arrivals cannot starve later ones), then one
+        pass in which each workload is removed and re-placed without a
+        cap, letting it grow into space the fair shares left over.
+        Raises naming the first workload, in LPT order, left without a
+        free context.
         """
         if not workloads:
             raise ReproError(
@@ -172,13 +170,11 @@ class RackScheduler:
         ):
             fleet = FleetOccupancy(self.rack)
             predicted_times: Dict[str, float] = {}
-            self.admit_batch(
-                fleet,
-                predicted_times,
-                workloads,
-                refinement_rounds=refinement_rounds,
-                strict=True,
-            )
+            _, skipped = self.admit_batch(fleet, predicted_times, workloads)
+            if skipped:
+                raise ReproError(
+                    f"workload {skipped[0].name} does not fit on any rack machine"
+                )
         schedule = RackSchedule(
             rack=self.rack,
             assignments=[
@@ -196,17 +192,17 @@ class RackScheduler:
         fleet: FleetOccupancy,
         predicted_times: Dict[str, float],
         workloads: Sequence[WorkloadDescription],
-        refinement_rounds: int = 1,
-        strict: bool = True,
         waits: Optional[Dict[str, float]] = None,
     ) -> Tuple[List[Assignment], List[WorkloadDescription]]:
         """Admit a batch of workloads onto a (possibly occupied) fleet.
 
         LPT order, fair-share caps against the fleet's *free* contexts,
-        then ``refinement_rounds`` uncapped re-placement passes over the
-        batch (never over pre-existing residents).  With ``strict`` a
-        workload that fits nowhere raises; otherwise it is returned in
-        the skipped list and the rest of the batch proceeds.
+        then, for a batch of two or more, one uncapped re-placement pass
+        over the batch (never over pre-existing residents); a lone
+        workload's pass would repeat its uncapped search bit for bit.
+        A workload whose turn comes when no free context is left is
+        skipped and the rest of the batch proceeds; every error
+        propagates.
 
         With *waits*, a workload may also wait for a running job to
         leave.  *waits* maps each waiting job to the predicted departure
@@ -236,17 +232,14 @@ class RackScheduler:
             skipped: List[WorkloadDescription] = []
             skipped_names: Set[str] = set()
             for i, workload in enumerate(ordered):
-                cap = max(1, remaining // (len(ordered) - i))
-                try:
-                    assignment, predictions = self.best_candidate(
-                        fleet, predicted_times, workload, max_threads=cap
-                    )
-                except ReproError:
-                    if strict:
-                        raise
+                if remaining < 1:
                     skipped.append(workload)
                     skipped_names.add(workload.name)
                     continue
+                cap = max(1, remaining // (len(ordered) - i))
+                assignment, predictions = self.best_candidate(
+                    fleet, predicted_times, workload, max_threads=cap
+                )
                 if waits is not None and len(waits) < len(departures):
                     left_s, awaited = departures[len(waits)]
                     cost = self._cost(predicted_times, predictions, workload.name)
@@ -261,8 +254,8 @@ class RackScheduler:
             if greedy_span is not None:
                 greedy_span.attrs["free_threads_left"] = remaining
 
-        for round_no in range(refinement_rounds):
-            with obs.span("rack.refine", round=round_no + 1):
+        if len(ordered) > 1:
+            with obs.span("rack.refine"):
                 for workload in ordered:
                     if workload.name in skipped_names:
                         continue
@@ -306,12 +299,7 @@ class RackScheduler:
         for machine, n, placement, joint in self.ladders(
             fleet, workload, max_threads
         ):
-            predictions = {
-                o.workload_name: self._remaining_in(
-                    fleet, o.workload_name, o.predicted_time_s
-                )
-                for o in joint.outcomes
-            }
+            predictions = self.seconds_left(fleet, joint)
             makespan = self._makespan_with(predicted_times, predictions)
             candidates.append(
                 (
@@ -383,6 +371,32 @@ class RackScheduler:
         """Joint prediction of an explicit co-schedule on one machine."""
         return self._joint[machine_name].predict(jobs)
 
+    @staticmethod
+    def seconds_left(
+        fleet: FleetOccupancy, joint: CoSchedulePrediction, done: float = 0.0
+    ) -> Dict[str, float]:
+        """Each job's predicted seconds left at ``fleet.now``.
+
+        A job predicted to take *t* seconds in *joint* has ``(1 - p) *
+        t`` left, where *p* is its done fraction: a resident's
+        :meth:`~repro.rack.occupancy.Resident.progress_at` ``fleet.now``,
+        or *done* for the one job of *joint* not resident (0 for a job
+        being admitted, the done fraction of a detached job being
+        re-placed).  Candidates are scored by comparing times across
+        jobs, which is only meaningful from one origin: a resident 90%
+        through its run competes with its remaining tail, not its full
+        duration.  Offline nothing has run, so every *p* is 0.
+        """
+        left: Dict[str, float] = {}
+        for outcome in joint.outcomes:
+            name = outcome.workload_name
+            if name in fleet:
+                p = fleet.resident(name).progress_at(fleet.now)
+            else:
+                p = done
+            left[name] = (1.0 - p) * outcome.predicted_time_s
+        return left
+
     def solo_estimate(self, workload: WorkloadDescription) -> float:
         """Predicted solo time on the workload's best single machine.
 
@@ -435,29 +449,7 @@ class RackScheduler:
         if not resident:
             return
         joint = self._joint[machine_name].predict(resident)
-        for outcome in joint.outcomes:
-            predicted_times[outcome.workload_name] = self._remaining_in(
-                fleet, outcome.workload_name, outcome.predicted_time_s
-            )
-
-    @staticmethod
-    def _remaining_in(
-        fleet: FleetOccupancy, name: str, predicted_total_s: float
-    ) -> float:
-        """A prediction in *remaining*-seconds units.
-
-        The decision core scores candidates by comparing times across
-        workloads, which is only meaningful if they share an origin: a
-        resident 90% through its run competes with its remaining tail,
-        not its full duration.  Residents are scaled by their done
-        fraction (time-driven callers advance it before admitting);
-        workloads not yet resident — batch candidates — pass through
-        unscaled, so for the offline scheduler (done == 0 everywhere)
-        this is the identity.
-        """
-        if name in fleet:
-            return (1.0 - fleet.resident(name).done_fraction) * predicted_total_s
-        return predicted_total_s
+        predicted_times.update(self.seconds_left(fleet, joint))
 
     @staticmethod
     def _cost(

@@ -27,17 +27,6 @@ CACHE_LINE_BYTES = 64
 
 KIB = 1024
 MIB = 1024 * KIB
-GIB = 1024 * MIB
-
-
-def mib(value: float) -> float:
-    """Return *value* MiB expressed in bytes."""
-    return value * MIB
-
-
-def gib(value: float) -> float:
-    """Return *value* GiB expressed in bytes."""
-    return value * GIB
 
 
 def near_zero(value: float, tolerance: float = EPSILON) -> bool:
@@ -83,12 +72,3 @@ def median(values: Iterable[float]) -> float:
     if n % 2:
         return ordered[mid]
     return 0.5 * (ordered[mid - 1] + ordered[mid])
-
-
-def harmonic_mean(values: Sequence[float]) -> float:
-    """Harmonic mean of strictly positive values."""
-    if not values:
-        raise ValueError("harmonic_mean() of empty sequence")
-    if any(v <= 0 for v in values):
-        raise ValueError("harmonic_mean() requires positive values")
-    return len(values) / sum(1.0 / v for v in values)

@@ -46,14 +46,6 @@ class TestRegistry:
         with pytest.raises(ReproError, match="not bound"):
             FirstFitPolicy().admit(FleetOccupancy(rack), [make_description("w")])
 
-    def test_negative_refinement_rejected(self):
-        with pytest.raises(ReproError, match="negative"):
-            PredictedSlowdownPolicy(refinement_rounds=-1)
-
-    def test_negative_refinement_names_the_value(self):
-        with pytest.raises(ReproError, match="got -3"):
-            PredictedSlowdownPolicy(refinement_rounds=-3)
-
 
 class TestFirstFit:
     def test_takes_all_free_contexts_of_first_machine(self, bound):
@@ -98,7 +90,7 @@ class TestPredictedSlowdown:
 
     def test_no_head_of_line_blocking(self, bound):
         """A batch too wide for the fleet skips the overflow, not the tail."""
-        policy, fleet = bound(PredictedSlowdownPolicy(refinement_rounds=0))
+        policy, fleet = bound(PredictedSlowdownPolicy())
         batch = [make_description(f"w{i}") for i in range(33)]
         placed, remaining = policy.admit(fleet, batch)
         assert len(placed) == 32 and len(remaining) == 1

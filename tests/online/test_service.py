@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.errors import ReproError
+from repro.core.coscheduling import CoSchedulePredictor
+from repro.errors import PredictionError, ReproError
 from repro.online import OnlineScheduler, poisson_trace, replay_trace
 from repro.online.policies import PlacementPolicy
 from repro.rack.model import Assignment
@@ -80,6 +81,29 @@ class TestRun:
     def test_negative_hysteresis_names_the_value(self, rack):
         with pytest.raises(ReproError, match="got -0.25"):
             OnlineScheduler(rack, hysteresis=-0.25)
+
+
+class TestErrorsPropagate:
+    def test_a_failed_joint_prediction_stops_the_replay(
+        self, rack, pool, monkeypatch
+    ):
+        """A joint prediction that fails while a job is being scored
+        raises out of the run; the job is not deferred to a later event
+        as if it had found no room."""
+        predict_batch = CoSchedulePredictor.predict_batch
+        calls = []
+
+        def fail_fifth_call(self, *args, **kwargs):
+            calls.append(1)
+            if len(calls) == 5:
+                raise PredictionError("joint prediction 5 failed")
+            return predict_batch(self, *args, **kwargs)
+
+        monkeypatch.setattr(CoSchedulePredictor, "predict_batch", fail_fifth_call)
+        trace = poisson_trace(pool, n_jobs=12, rate_per_s=0.5, seed=0)
+        with pytest.raises(PredictionError, match="joint prediction 5 failed"):
+            OnlineScheduler(rack, policy="predicted-slowdown").run(trace)
+        assert len(calls) == 5
 
 
 class TestSimulatedClockSampling:

@@ -60,6 +60,17 @@ def test_second_arrival_waits_for_the_first_departure(rack):
     assert jobs["late"].end_s < IMMEDIATE_END_S
 
 
+def test_an_admit_call_that_places_nothing_records_its_latency(rack):
+    """Arrivals at 0, 0.5 and 1 s make admit calls that place 1, 1 and
+    0 jobs (the compute job waits for the wide one); the departure that
+    ends the wait places it.  Each call is one latency sample."""
+    run = _replay(
+        rack, [("wide", 0.0, "wide"), ("mem", 0.5, "hog"), ("cpu", 1.0, "late")]
+    )
+    assert run.stats.decisions == 3
+    assert run.stats.metrics.histogram("online.decision_us").count == 4
+
+
 def _idle_while_pending(run):
     """Jobs that were pending at some instant when nothing ran."""
     busy = []
